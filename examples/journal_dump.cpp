@@ -4,12 +4,12 @@
 //
 //   $ ./journal_dump <persistence-dir | journal-file> [--verify]
 //
-// --verify additionally chains the records (each old_fingerprint must equal
-// the previous new_fingerprint) and, when a directory was given, checks the
-// tail against the newest valid snapshot — a dry run of what
-// QueryService::recover would replay.  Each record's check is clocked
-// through a registry histogram and the distribution is printed at the end
-// (the same Histogram/percentile API the service uses).  Read-only:
+// --verify additionally chains the records (each old_fingerprint must equal the
+// previous new_fingerprint) and, when a directory was given, checks the tail
+// against the newest valid snapshot — a dry run of what recovery
+// (QueryService::open with recover_existing) would replay.  Each record's check
+// is clocked through a registry histogram and the distribution is printed at
+// the end (the same Histogram/percentile API the service uses).  Read-only:
 // nothing is truncated.
 #include <filesystem>
 #include <iostream>

@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
   service::PersistenceConfig persist;
   persist.dir = dir;
   persist.sync_mode = service::SyncMode::kCommit;
-  auto service = service::QueryService::build_live(eng, inst, {}, persist);
+  auto service = service::QueryService::open(
+      {.engine = &eng, .instance = &inst, .live = true, .persist = persist});
 
   // --- a mixed batch over all four query kinds, run cold then warm ---
   std::vector<service::Query> batch;
@@ -126,8 +127,9 @@ int main(int argc, char** argv) {
   }
   const auto gen_before = service->backend().generation();
   service.reset();  // release the journal before recovering in-process
-  service::QueryService::RecoveredInfo info;
-  service = service::QueryService::recover(persist, {}, &info);
+  service::RecoveredInfo info;
+  service = service::QueryService::open(
+      {.persist = persist, .recover_existing = true, .recovered = &info});
   service->answer_batch(batch);  // cache is cold again post-recover
   std::cout << "# workload: " << applied << " updates applied, generation "
             << gen_before << " -> recovered " << service->backend().generation()

@@ -180,9 +180,10 @@ int main(int argc, char** argv) {
     cfg.dir = recover_dir;
     cfg.sync_mode = sync;
     cfg.snapshot_every_n = snapshot_every;
-    service::QueryService::RecoveredInfo info;
+    service::RecoveredInfo info;
     try {
-      service = service::QueryService::recover(cfg, {}, &info);
+      service = service::QueryService::open(
+          {.persist = cfg, .recover_existing = true, .recovered = &info});
     } catch (const std::exception& e) {
       std::cerr << "recover failed: " << e.what() << "\n";
       return 1;
@@ -200,15 +201,9 @@ int main(int argc, char** argv) {
     const auto inst = graph::make_mst_instance(std::move(tree), 3 * n, 29,
                                                /*slack=*/400);
     eng.emplace(mpc::MpcConfig::scaled(inst.input_words(), 0.5, 64.0));
-    if (live)
-      service = shards > 1 ? service::QueryService::build_live_sharded(
-                                 *eng, inst, shards, {}, persist)
-                           : service::QueryService::build_live(*eng, inst, {},
-                                                               persist);
-    else
-      service = shards > 1
-                    ? service::QueryService::build_sharded(*eng, inst, shards)
-                    : service::QueryService::build(*eng, inst);
+    service = service::QueryService::open(
+        {.engine = &*eng, .instance = &inst, .sharded = shards > 1,
+         .num_shards = shards, .live = live, .persist = persist});
   }
   const auto& backend = service->backend();
   const auto& receipt = backend.receipt();

@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
                                        /*slack=*/400);
 
   mpc::Engine eng(mpc::MpcConfig::scaled(inst.input_words(), 0.5, 64.0));
-  auto service = service::QueryService::build(eng, inst);
+  auto service =
+      service::QueryService::open({.engine = &eng, .instance = &inst});
   const auto& index = service->index();
 
   // Built corridors with the least pricing headroom, via one top-k query.

@@ -13,7 +13,6 @@
 #include "common/check.hpp"
 #include "graph/instance.hpp"
 #include "net/server.hpp"
-#include "service/snapshot.hpp"
 
 namespace mpcmst::service::net {
 
@@ -509,21 +508,20 @@ class RemoteShardBackend final : public IndexBackend {
 
 // --- LeaderShardedBackend -------------------------------------------------
 
-/// The UpdatableBackend that owns a networked tier: same LiveCore, same
-/// commit path as LiveShardedBackend, with scatter() replaced by one kPatch
-/// RPC per shard (the servers apply it through the identical shard patch
-/// primitives).  A shard whose patch RPC fails — or that answers a query
-/// with a foreign stamp after a restart — is marked dirty and
-/// re-bootstrapped from the authoritative core on the next unique-lock
-/// section; the leader itself never poisons on shard faults, only on its
-/// own journal-commit failures.
-class LeaderShardedBackend final : public UpdatableBackend {
+/// The UpdatableBackend that owns a networked tier: the LiveBackend commit
+/// path with publish() shipping one kPatch RPC per shard (the servers apply
+/// it through the identical shard patch primitives).  A shard whose patch
+/// RPC fails — or that answers a query with a foreign stamp after a
+/// restart — is marked dirty and re-bootstrapped from the authoritative
+/// core on the next unique-lock section; the leader itself never poisons on
+/// shard faults, only on its own journal-commit failures.
+class LeaderShardedBackend final : public LiveBackend {
  public:
   LeaderShardedBackend(graph::Instance inst,
                        std::shared_ptr<const SensitivityIndex> snapshot,
                        const std::vector<std::string>& endpoints,
                        NetOptions opts)
-      : core_(std::move(inst), snapshot) {
+      : LiveBackend(std::move(inst), snapshot, 0) {
     MPCMST_CHECK(!endpoints.empty(), "leader: the endpoint list is empty");
     MPCMST_CHECK(
         endpoints.size() == clamp_shard_count(endpoints.size(), snapshot->n()),
@@ -561,28 +559,7 @@ class LeaderShardedBackend final : public UpdatableBackend {
     });
   }
 
-  std::size_t n() const override {
-    std::shared_lock lock(mu_);
-    return core_.index().n();
-  }
-  std::size_t num_nontree() const override {
-    std::shared_lock lock(mu_);
-    return core_.index().num_nontree();
-  }
-  bool is_mst() const override { return violations() == 0; }
-  std::size_t violations() const override {
-    std::shared_lock lock(mu_);
-    return core_.index().violations();
-  }
-  std::uint64_t fingerprint() const override {
-    std::shared_lock lock(mu_);
-    return core_.index().fingerprint();
-  }
-  const CostReceipt& receipt() const override { return receipt_; }
   std::size_t num_shards() const override { return conns_.size(); }
-  std::uint64_t generation() const override {
-    return generation_.load(std::memory_order_acquire);
-  }
   bool batched_runs() const override { return true; }
 
   /// Partition arithmetic only, lock-free (the batch fast path calls this
@@ -599,98 +576,9 @@ class LeaderShardedBackend final : public UpdatableBackend {
         conns_.size() - 1);
   }
 
-  std::optional<EdgeRef> find(Vertex u, Vertex v) const override {
-    std::shared_lock lock(mu_);
-    return core_.index().find(u, v);
-  }
-
-  std::optional<NonTreeEdgeInfo> nontree_info(
-      std::int64_t orig_id) const override {
-    std::shared_lock lock(mu_);
-    if (orig_id < 0 ||
-        orig_id >= static_cast<std::int64_t>(core_.index().num_nontree()))
-      return std::nullopt;
-    return core_.index().nontree_edge(orig_id);
-  }
-
-  std::vector<UpdateReceipt> ingest(
-      const std::vector<EdgeEvent>& events) override {
-    const bool timed = metrics_enabled();
-    std::vector<UpdateReceipt> receipts;
-    std::vector<std::uint64_t> durations;
-    receipts.reserve(events.size());
-    durations.reserve(events.size());
-    std::unique_lock lock(mu_);
-    check_not_poisoned();
-    resync_locked();  // heal restarted shards before advancing the epoch
-    std::uint64_t epoch = generation_.load(std::memory_order_relaxed);
-    std::vector<JournalRecord> staged;
-    // Same group-commit section as LiveShardedBackend::ingest, with
-    // scatter() swapped for ship().  A throw from the core or the journal
-    // poisons (applied-but-unjournaled state must not serve); a shard RPC
-    // fault does NOT — ship() marks the shard dirty and the authoritative
-    // core re-bootstraps it later.
-    try {
-      for (const EdgeEvent& ev : events) {
-        const std::uint64_t t0 = timed ? metrics_now_ns() : 0;
-        const std::uint64_t old_fp = core_.index().fingerprint();
-        const auto out = core_.apply_event(ev);
-        UpdateReceipt r = make_update_receipt(core_, out, old_fp);
-        if (advances_epoch(r.report)) {
-          ++epoch;
-          staged.push_back(make_journal_record(epoch, r, ev));
-          ship(out.changed, epoch);
-        }
-        r.generation = epoch;
-        receipts.push_back(std::move(r));
-        durations.push_back(timed ? metrics_now_ns() - t0 : 0);
-      }
-      if (persist_ && !staged.empty()) persist_->commit_batch(staged);
-    } catch (...) {
-      poisoned_.store(true, std::memory_order_release);
-      throw;
-    }
-    generation_.store(epoch, std::memory_order_release);
-    if (commit_listener_ && !staged.empty()) commit_listener_(staged);
-    try {
-      if (persist_ && persist_->checkpoint_due())
-        persist_->checkpoint(epoch, core_.index(), nullptr);
-    } catch (...) {
-      poisoned_.store(true, std::memory_order_release);
-      throw;
-    }
-    lock.unlock();
-    for (std::size_t i = 0; i < receipts.size(); ++i)
-      record_update_telemetry(receipts[i], durations[i]);
-    return receipts;
-  }
-
-  graph::Instance instance_snapshot() const override {
-    std::shared_lock lock(mu_);
-    return core_.instance();
-  }
-
-  void attach_persistence(std::shared_ptr<Persistence> p) override {
-    std::unique_lock lock(mu_);
-    persist_ = std::move(p);
-  }
-
-  void checkpoint() override {
-    std::unique_lock lock(mu_);
-    check_not_poisoned();
-    if (!persist_) return;
-    persist_->checkpoint(generation_.load(std::memory_order_relaxed),
-                         core_.index(), nullptr);
-  }
-
  private:
-  void check_not_poisoned() const {
-    if (poisoned_.load(std::memory_order_acquire))
-      throw ServiceError(
-          ServiceStatus::kPoisoned,
-          "leader backend is poisoned: a journal commit failed after the "
-          "state mutated; recover the tier from its persistence dir");
-  }
+  /// Heal restarted shards before an ingest advances the epoch.
+  void before_apply() override { resync_locked(); }
 
   TierView view() const {
     return TierView{conns_, n_.load(std::memory_order_acquire),
@@ -825,7 +713,8 @@ class LeaderShardedBackend final : public UpdatableBackend {
   }
 
   /// The networked scatter(): broadcast one committed update's repairs.
-  void ship(const ChangedSet& changed, std::uint64_t epoch) {
+  /// Never throws on a shard fault — the shard is marked dirty instead.
+  void publish(const ChangedSet& changed, std::uint64_t epoch) override {
     const SensitivityIndex& m = core_.index();
     if (changed.full) {
       // A swap relabeled everything — re-split the relabeled monolith and
@@ -874,15 +763,9 @@ class LeaderShardedBackend final : public UpdatableBackend {
     if (newly_dirty) dirty_any_.store(true, std::memory_order_release);
   }
 
-  mutable std::shared_mutex mu_;
-  LiveCore core_;
   std::vector<std::shared_ptr<ShardConn>> conns_;
-  CostReceipt receipt_;
-  std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::size_t> n_{0};
   std::atomic<std::size_t> stride_{1};
-  std::shared_ptr<Persistence> persist_;  // null: in-memory only
-  std::atomic<bool> poisoned_{false};
   // Shard health: dirty_ entries flip under the unique lock (or the ctor);
   // dirty_any_ is the lock-free fast-path summary; tier_suspect_ carries a
   // reader's failure report to the next unique-lock resync.

@@ -15,12 +15,10 @@
 //     retries (refreshing metas) before surfacing kEpochRetry.
 //
 //   - LeaderShardedBackend (make_leader_backend): the UpdatableBackend that
-//     owns the tier.  It holds the same LiveCore the in-process backends
-//     use; ingest() applies each event locally, ships the resulting labels
-//     to the owning shard servers as one kPatch per event (a full relabel
-//     re-splits and re-bootstraps), group-commits the journal, then
-//     publishes the generation — the same commit path as
-//     LiveShardedBackend, with scatter() swapped for RPCs.  Queries fan out
+//     owns the tier.  It is a LiveBackend (service/update.hpp) — the same
+//     core and commit path as the in-process backends — whose publish hook
+//     ships each event's labels to the owning shard servers as one kPatch
+//     (a full relabel re-splits and re-bootstraps).  Queries fan out
 //     to the shard servers under the reader lock and must come back stamped
 //     with the leader's own epoch; a shard that lost its state (restart) is
 //     detected by the stamp mismatch and re-bootstrapped on the spot.

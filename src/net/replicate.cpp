@@ -227,25 +227,19 @@ void ReplicaNode::run() {
 void ReplicaNode::install_snapshot(const Frame& f) {
   // body = the snapshot file, verbatim; the snapshot's own CRC + fingerprint
   // validation is the trust boundary.
-  const auto img = parse_snapshot_bytes(f.body.data(), f.body.size());
+  auto img = parse_snapshot_bytes(f.body.data(), f.body.size());
   if (!img)
     throw ServiceError(ServiceStatus::kWireError,
                        leader_ + ": shipped snapshot failed validation");
-  std::shared_ptr<UpdatableBackend> b;
-  if (img->sharded())
-    b = std::make_shared<LiveShardedBackend>(std::move(img->instance),
-                                             img->index, img->shards,
-                                             img->generation);
-  else
-    b = std::make_shared<LiveMonolithBackend>(std::move(img->instance),
-                                              img->index, img->generation);
+  const std::uint64_t generation = img->generation;
+  std::shared_ptr<UpdatableBackend> b = make_live_backend(std::move(*img));
   auto svc = std::make_shared<QueryService>(b, svc_opts_);
   {
     std::lock_guard lock(mu_);
     backend_ = std::move(b);
     svc_ = std::move(svc);
   }
-  applied_.store(img->generation, std::memory_order_release);
+  applied_.store(generation, std::memory_order_release);
   have_state_.store(true, std::memory_order_release);
   net_counter("snapshots_installed").inc();
 }

@@ -15,7 +15,7 @@
 // recovery applies to disk bytes), replays each journal record through
 // replay_journal_record (generation contiguity checked here, the
 // fingerprint chain and classification checked inside, exactly like
-// recover()), and republishes a fresh QueryService after every install.  A
+// recovery), and republishes a fresh QueryService after every install.  A
 // generation gap or a dropped leader connection is not fatal: the node
 // reconnects with its last applied generation and resumes without the
 // whole log being re-shipped, serving reads at the last contiguous

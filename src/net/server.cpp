@@ -266,47 +266,70 @@ std::vector<ShardHostState> make_host_states(
   return out;
 }
 
-// --- ShardServer ----------------------------------------------------------
+// --- FrameServer ----------------------------------------------------------
 
-ShardServer::ShardServer(Listener listener, NetOptions opts)
-    : listener_(std::move(listener)), opts_(opts) {}
+namespace {
 
-ShardServer::~ShardServer() { stop(); }
-
-void ShardServer::install(ShardHostState st) {
-  std::unique_lock lock(mu_);
-  host_ = std::make_unique<ShardHost>(std::move(st));
+Gauge& connections_gauge() {
+  static Gauge& g = MetricsRegistry::instance().gauge("net_server_connections");
+  return g;
 }
 
-void ShardServer::start() {
+}  // namespace
+
+FrameServer::FrameServer(Listener listener, NetOptions opts)
+    : listener_(std::move(listener)), opts_(opts) {}
+
+FrameServer::~FrameServer() { stop(); }
+
+void FrameServer::start() {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
-void ShardServer::stop() {
+void FrameServer::stop() {
   stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.close();
   std::lock_guard lock(conns_mu_);
-  for (std::thread& t : conns_)
-    if (t.joinable()) t.join();
+  for (Conn& c : conns_) c.thread.join();
+  connections_gauge().sub(static_cast<std::int64_t>(conns_.size()));
   conns_.clear();
 }
 
-void ShardServer::wait() {
+void FrameServer::wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
 }
 
-void ShardServer::accept_loop() {
+void FrameServer::shut_down(Socket& s) {
+  send_frame(s, MsgType::kOk, ByteWriter());
+  stop_.store(true, std::memory_order_release);
+}
+
+void FrameServer::reap_locked() {
+  conns_.remove_if([](Conn& c) {
+    if (!c.done.load(std::memory_order_acquire)) return false;
+    c.thread.join();
+    connections_gauge().sub(1);
+    return true;
+  });
+}
+
+void FrameServer::accept_loop() {
   while (!stop_.load(std::memory_order_acquire)) {
     Socket s = listener_.accept(stop_);
     if (!s.valid()) continue;
     std::lock_guard lock(conns_mu_);
-    conns_.emplace_back(
-        [this, sock = std::move(s)]() mutable { serve_conn(std::move(sock)); });
+    reap_locked();
+    Conn& c = conns_.emplace_back();
+    connections_gauge().add(1);
+    c.thread = std::thread([this, &c, sock = std::move(s)]() mutable {
+      serve_conn(std::move(sock));
+      c.done.store(true, std::memory_order_release);
+    });
   }
 }
 
-void ShardServer::serve_conn(Socket s) {
+void FrameServer::serve_conn(Socket s) {
   s.set_io_timeout(opts_.io_timeout_ms);
   while (!stop_.load(std::memory_order_acquire)) {
     const int rc = wait_readable(s, 100);
@@ -326,6 +349,18 @@ void ShardServer::serve_conn(Socket s) {
   }
 }
 
+// --- ShardServer ----------------------------------------------------------
+
+ShardServer::ShardServer(Listener listener, NetOptions opts)
+    : FrameServer(std::move(listener), opts) {}
+
+ShardServer::~ShardServer() { stop(); }
+
+void ShardServer::install(ShardHostState st) {
+  std::unique_lock lock(mu_);
+  host_ = std::make_unique<ShardHost>(std::move(st));
+}
+
 bool ShardServer::handle_frame(Socket& s, const Frame& f) {
   ByteReader req(f.body.data(), f.body.size());
   ByteWriter rep;
@@ -336,8 +371,7 @@ bool ShardServer::handle_frame(Socket& s, const Frame& f) {
         rtype = MsgType::kPong;
         break;
       case MsgType::kShutdown:
-        send_frame(s, MsgType::kOk, rep);
-        stop_.store(true, std::memory_order_release);
+        shut_down(s);
         return false;
       case MsgType::kBootstrap: {
         ShardHostState st;
@@ -419,64 +453,11 @@ bool ShardServer::handle_frame(Socket& s, const Frame& f) {
 
 ServiceServer::ServiceServer(Listener listener, ServiceProvider provider,
                              NetOptions opts)
-    : listener_(std::move(listener)),
-      opts_(opts),
-      provider_(std::move(provider)) {}
+    : FrameServer(std::move(listener), opts), provider_(std::move(provider)) {}
 
 ServiceServer::~ServiceServer() { stop(); }
 
-void ServiceServer::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void ServiceServer::stop() {
-  stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
-  std::lock_guard lock(conns_mu_);
-  for (std::thread& t : conns_)
-    if (t.joinable()) t.join();
-  conns_.clear();
-}
-
-void ServiceServer::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
-
-void ServiceServer::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    Socket s = listener_.accept(stop_);
-    if (!s.valid()) continue;
-    std::lock_guard lock(conns_mu_);
-    conns_.emplace_back(
-        [this, sock = std::move(s)]() mutable { serve_conn(std::move(sock)); });
-  }
-}
-
-void ServiceServer::serve_conn(Socket s) {
-  s.set_io_timeout(opts_.io_timeout_ms);
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int rc = wait_readable(s, 100);
-    if (rc < 0) return;
-    if (rc == 0) continue;
-    Frame f;
-    try {
-      f = recv_frame(s);
-    } catch (const ServiceError& e) {
-      if (e.status() == ServiceStatus::kVersionMismatch)
-        send_error(s, ServiceStatus::kVersionMismatch,
-                   "this server speaks wire version " +
-                       std::to_string(kWireVersion));
-      return;
-    }
-    bool handed_off = false;
-    const bool keep = handle_frame(s, f, handed_off);
-    if (handed_off) return;  // the replication hub owns the socket now
-    if (!keep) return;
-  }
-}
-
-bool ServiceServer::handle_frame(Socket& s, const Frame& f, bool& handed_off) {
+bool ServiceServer::handle_frame(Socket& s, const Frame& f) {
   ByteReader req(f.body.data(), f.body.size());
   ByteWriter rep;
   MsgType rtype = MsgType::kOk;
@@ -486,8 +467,7 @@ bool ServiceServer::handle_frame(Socket& s, const Frame& f, bool& handed_off) {
         rtype = MsgType::kPong;
         break;
       case MsgType::kShutdown:
-        send_frame(s, MsgType::kOk, rep);
-        stop_.store(true, std::memory_order_release);
+        shut_down(s);
         return false;
       case MsgType::kQuery: {
         const std::shared_ptr<QueryService> svc = provider_();
@@ -574,8 +554,7 @@ bool ServiceServer::handle_frame(Socket& s, const Frame& f, bool& handed_off) {
         }
         send_frame(s, MsgType::kOk, rep);
         subscribe_(std::move(s), last_gen, have_state);
-        handed_off = true;
-        return false;
+        return false;  // handed off: the replication hub owns the socket
       }
       default:
         rtype = write_error(

@@ -11,15 +11,18 @@
 // the SAME shard patch primitives scatter() uses (shard.hpp), so a slice
 // behind a socket and a slice in-process stay byte-identical.
 //
-// ShardServer wraps a ShardHost behind a Listener: thread-per-connection,
-// reads guarded by a shared mutex against kBootstrap/kPatch writers.
-// ServiceServer serves a whole QueryService (leader or replica) behind one
-// endpoint: kQuery/kStats always, kIngest when a mutation handler is
-// installed (else kNotLeader), kSubscribe handed to the replication hub.
+// Both servers run one FrameServer accept loop (thread-per-connection,
+// finished connections reaped on each accept) and differ only in their
+// per-frame handler.  ShardServer wraps a ShardHost, reads guarded by a
+// shared mutex against kBootstrap/kPatch writers.  ServiceServer serves a
+// whole QueryService (leader or replica) behind one endpoint: kQuery/kStats
+// always, kIngest when a mutation handler is installed (else kNotLeader),
+// kSubscribe handed to the replication hub.
 #pragma once
 
 #include <atomic>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -74,15 +77,17 @@ class ShardHost {
 std::vector<ShardHostState> make_host_states(
     const ShardedSensitivityIndex& idx, const CostReceipt& receipt);
 
-/// One shard server process: accept loop + thread-per-connection over an
-/// optional ShardHost (kUnavailable until bootstrapped or installed).
-class ShardServer {
+/// The accept loop both servers share: thread-per-connection, each frame
+/// handed to handle_frame().  Finished connection threads are joined on
+/// every accept, so connection churn holds no memory beyond the live
+/// connections; the `net_server_connections` gauge counts the threads held.
+/// Subclasses must call stop() in their own destructor, before the state
+/// handle_frame() reads is destroyed.
+class FrameServer {
  public:
-  ShardServer(Listener listener, NetOptions opts = {});
-  ~ShardServer();
-
-  /// Preload a slice (static deployments); kBootstrap replaces it.
-  void install(ShardHostState st);
+  virtual ~FrameServer();
+  FrameServer(const FrameServer&) = delete;
+  FrameServer& operator=(const FrameServer&) = delete;
 
   void start();
   void stop();
@@ -91,25 +96,55 @@ class ShardServer {
 
   const std::string& endpoint() const { return listener_.endpoint(); }
 
+ protected:
+  FrameServer(Listener listener, NetOptions opts);
+
+  /// One request/reply exchange; returns false when the connection should
+  /// wind down: the peer is gone, a kShutdown stopped the whole server, or
+  /// the socket was handed off (moved out of `s`) to another owner.
+  virtual bool handle_frame(Socket& s, const Frame& f) = 0;
+
+  /// Reply kOk to a kShutdown and stop accepting (called from a handler).
+  void shut_down(Socket& s);
+
  private:
+  struct Conn {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
   void serve_conn(Socket s);
-  /// One request/reply exchange; returns false when the connection (or the
-  /// whole server, via kShutdown) should wind down.
-  bool handle_frame(Socket& s, const Frame& f);
+  /// Join and drop every finished connection.  Caller holds conns_mu_.
+  void reap_locked();
 
   Listener listener_;
   NetOptions opts_;
+  std::atomic<bool> stop_{false};
+  std::mutex conns_mu_;
+  std::list<Conn> conns_;  // stable addresses: each thread flags its own
+  std::thread accept_thread_;
+};
+
+/// One shard server process over an optional ShardHost (kUnavailable until
+/// bootstrapped or installed).
+class ShardServer final : public FrameServer {
+ public:
+  ShardServer(Listener listener, NetOptions opts = {});
+  ~ShardServer() override;
+
+  /// Preload a slice (static deployments); kBootstrap replaces it.
+  void install(ShardHostState st);
+
+ private:
+  bool handle_frame(Socket& s, const Frame& f) override;
+
   mutable std::shared_mutex mu_;  // host_ swap/patch vs. readers
   std::unique_ptr<ShardHost> host_;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conns_;
 };
 
 /// A whole QueryService behind one endpoint (leader or replica front door).
-class ServiceServer {
+class ServiceServer final : public FrameServer {
  public:
   /// `provider` is re-invoked per request so a replica can swap in a fresh
   /// service after each snapshot install; returning null serves
@@ -123,31 +158,17 @@ class ServiceServer {
 
   ServiceServer(Listener listener, ServiceProvider provider,
                 NetOptions opts = {});
-  ~ServiceServer();
+  ~ServiceServer() override;
 
   void set_ingest_handler(IngestHandler h) { ingest_ = std::move(h); }
   void set_subscribe_handler(SubscribeHandler h) { subscribe_ = std::move(h); }
 
-  void start();
-  void stop();
-  void wait();
-
-  const std::string& endpoint() const { return listener_.endpoint(); }
-
  private:
-  void accept_loop();
-  void serve_conn(Socket s);
-  bool handle_frame(Socket& s, const Frame& f, bool& handed_off);
+  bool handle_frame(Socket& s, const Frame& f) override;
 
-  Listener listener_;
-  NetOptions opts_;
   ServiceProvider provider_;
-  IngestHandler ingest_;          // null: kNotLeader
-  SubscribeHandler subscribe_;    // null: kNotLeader
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conns_;
+  IngestHandler ingest_;        // null: kNotLeader
+  SubscribeHandler subscribe_;  // null: kNotLeader
 };
 
 }  // namespace mpcmst::service::net

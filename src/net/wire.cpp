@@ -6,6 +6,7 @@
 #include "common/check.hpp"
 #include "net/socket.hpp"
 #include "service/snapshot.hpp"
+#include "service/telemetry.hpp"
 
 namespace mpcmst::service::net {
 
@@ -136,6 +137,12 @@ bool decode_edge_ref(ByteReader& r, EdgeRef& e) {
   return r.ok();
 }
 
+/// Answers and receipts carry a per-answer verdict, never a call failure.
+bool is_verdict(Status s) {
+  return static_cast<std::uint8_t>(s) <=
+         static_cast<std::uint8_t>(Status::kWouldDisconnect);
+}
+
 }  // namespace
 
 void encode_stamp(ByteWriter& w, const WireStamp& s) {
@@ -156,8 +163,10 @@ void encode_error(ByteWriter& w, ServiceStatus status,
 }
 
 bool decode_error(ByteReader& r, ServiceStatus& status, std::string& msg) {
-  status = static_cast<ServiceStatus>(r.u8());
-  return decode_string(r, msg);
+  const std::uint8_t code = r.u8();
+  status = static_cast<ServiceStatus>(code);
+  return decode_string(r, msg) &&
+         code <= static_cast<std::uint8_t>(ServiceStatus::kUnavailable);
 }
 
 void encode_query(ByteWriter& w, const Query& q) {
@@ -200,7 +209,7 @@ bool decode_answer(ByteReader& r, Answer& a) {
   a.replacement = r.i64();
   a.fragile = r.vec<FragileEntry>();
   a.certificates = r.vec<verify::ViolationCert>();
-  return r.ok();
+  return r.ok() && is_verdict(a.status);
 }
 
 void encode_edge_event(ByteWriter& w, const EdgeEvent& ev) {
@@ -249,7 +258,8 @@ bool decode_update_receipt(ByteReader& r, UpdateReceipt& rc) {
   rc.patched_tree_edges = r.u64();
   rc.patched_nontree_edges = r.u64();
   rc.full_relabel = r.u8() != 0;
-  return r.ok();
+  return r.ok() && is_verdict(rc.report.status) &&
+         static_cast<std::size_t>(rc.report.cls) < kNumUpdateClasses;
 }
 
 void encode_journal_record(ByteWriter& w, const JournalRecord& rec) {

@@ -9,7 +9,8 @@
 // acknowledged change survives any process death.  A restarted tier replays
 // the journal tail on top of the newest snapshot through the ordinary update
 // path and lands byte-identical to a tier that never crashed
-// (QueryService::recover, gated by the CI crash-injection job).
+// (QueryService::open with recover_existing, gated by the CI crash-injection
+// job).
 //
 // Torn tails are expected, not errors: a crash mid-append leaves a partial
 // frame (or a frame with a bad CRC) at the end of the file.  scan() stops at
@@ -44,8 +45,7 @@ enum class SyncMode : std::uint8_t {
             // on a crash, but recovery still lands on a consistent prefix
 };
 
-/// How a live serving tier persists itself (QueryService::build_live{,
-/// _sharded} / recover).
+/// How a live serving tier persists itself (ServiceConfig::persist).
 struct PersistenceConfig {
   std::string dir;  // journal + snapshots live here (created if missing)
   SyncMode sync_mode = SyncMode::kCommit;

@@ -192,7 +192,7 @@ std::string to_string(const Answer& a) {
       return "not applicable (non-tree edge)";
     case Status::kWouldDisconnect:
       return "refused: would disconnect";
-    case Status::kOk:
+    default:
       break;
   }
   if (!a.certificates.empty()) {

@@ -16,6 +16,7 @@
 
 #include "common/hash.hpp"
 #include "service/index.hpp"
+#include "service/status.hpp"
 #include "verify/still_mst.hpp"
 
 namespace mpcmst::service {
@@ -75,13 +76,10 @@ struct QueryHash {
   }
 };
 
-enum class Status : std::uint8_t {
-  kOk,
-  kUnknownEdge,      // {u, v} is neither a tree nor a non-tree edge
-  kNotApplicable,    // e.g. replacement_edge of a non-tree edge
-  kWouldDisconnect,  // remove_edge of a tree edge with no covering non-tree
-                     // edge: the delete is refused, state is unchanged
-};
+/// Per-answer verdicts are the first four values of the one status
+/// taxonomy (status.hpp): kOk, kUnknownEdge, kNotApplicable and
+/// kWouldDisconnect.
+using Status = ServiceStatus;
 
 /// One row of a top-k answer.
 struct FragileEntry {

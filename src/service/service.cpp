@@ -79,14 +79,9 @@ std::unique_ptr<QueryService> open_recover(const ServiceConfig& sc) {
     scan = Journal::recover(journal_path(cfg.dir));
   }
 
-  std::shared_ptr<UpdatableBackend> backend;
-  if (image->sharded())
-    backend = std::make_shared<LiveShardedBackend>(
-        std::move(image->instance), image->index, image->shards,
-        image->generation);
-  else
-    backend = std::make_shared<LiveMonolithBackend>(
-        std::move(image->instance), image->index, image->generation);
+  const std::uint64_t snapshot_generation = image->generation;
+  std::shared_ptr<UpdatableBackend> backend =
+      make_live_backend(std::move(*image));
 
   // Replay the journal tail through the ordinary update path, holding every
   // record to its own receipt: same resolution, same classification, same
@@ -95,7 +90,7 @@ std::unique_ptr<QueryService> open_recover(const ServiceConfig& sc) {
   {
     TraceScope span("recover:replay", tm.recovery_replay);
     for (const JournalRecord& rec : scan.records) {
-      if (rec.generation <= image->generation) continue;  // in the snapshot
+      if (rec.generation <= snapshot_generation) continue;  // in the snapshot
       MPCMST_CHECK(rec.generation == backend->generation() + 1,
                    "recover: journal generation gap at " << rec.generation);
       (void)replay_journal_record(*backend, rec);
@@ -118,7 +113,7 @@ std::unique_ptr<QueryService> open_recover(const ServiceConfig& sc) {
                       "cannot bridge to it");
 
   if (sc.recovered) {
-    sc.recovered->snapshot_generation = image->generation;
+    sc.recovered->snapshot_generation = snapshot_generation;
     sc.recovered->replayed_records = replayed;
     sc.recovered->journal_was_torn = scan.torn;
   }
@@ -186,64 +181,6 @@ std::unique_ptr<QueryService> QueryService::open(const ServiceConfig& cfg) {
   std::optional<PersistenceConfig> persist = cfg.persist;
   init_persistence(*backend, persist);
   return std::make_unique<QueryService>(std::move(backend), cfg.options);
-}
-
-std::unique_ptr<QueryService> QueryService::build(mpc::Engine& eng,
-                                                  const graph::Instance& inst,
-                                                  ServiceOptions opts) {
-  ServiceConfig cfg;
-  cfg.engine = &eng;
-  cfg.instance = &inst;
-  cfg.options = opts;
-  return open(cfg);
-}
-
-std::unique_ptr<QueryService> QueryService::build_sharded(
-    mpc::Engine& eng, const graph::Instance& inst, std::size_t num_shards,
-    ServiceOptions opts) {
-  ServiceConfig cfg;
-  cfg.engine = &eng;
-  cfg.instance = &inst;
-  cfg.sharded = true;
-  cfg.num_shards = num_shards;
-  cfg.options = opts;
-  return open(cfg);
-}
-
-std::unique_ptr<QueryService> QueryService::build_live(
-    mpc::Engine& eng, const graph::Instance& inst, ServiceOptions opts,
-    std::optional<PersistenceConfig> persist) {
-  ServiceConfig cfg;
-  cfg.engine = &eng;
-  cfg.instance = &inst;
-  cfg.live = true;
-  cfg.persist = std::move(persist);
-  cfg.options = opts;
-  return open(cfg);
-}
-
-std::unique_ptr<QueryService> QueryService::build_live_sharded(
-    mpc::Engine& eng, const graph::Instance& inst, std::size_t num_shards,
-    ServiceOptions opts, std::optional<PersistenceConfig> persist) {
-  ServiceConfig cfg;
-  cfg.engine = &eng;
-  cfg.instance = &inst;
-  cfg.sharded = true;
-  cfg.num_shards = num_shards;
-  cfg.live = true;
-  cfg.persist = std::move(persist);
-  cfg.options = opts;
-  return open(cfg);
-}
-
-std::unique_ptr<QueryService> QueryService::recover(
-    const PersistenceConfig& cfg, ServiceOptions opts, RecoveredInfo* info) {
-  ServiceConfig sc;
-  sc.persist = cfg;
-  sc.recover_existing = true;
-  sc.recovered = info;
-  sc.options = opts;
-  return open(sc);
 }
 
 void QueryService::checkpoint() {

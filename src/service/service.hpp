@@ -38,7 +38,7 @@ struct ServiceOptions {
   std::size_t chunk_size = 256;
 };
 
-/// What recover() found on disk (optional out-param for operators/tests).
+/// What a recovery found on disk (optional out-param for operators/tests).
 struct RecoveredInfo {
   std::uint64_t snapshot_generation = 0;  // the snapshot replay started from
   std::uint64_t replayed_records = 0;     // journal tail applied on top
@@ -47,8 +47,8 @@ struct RecoveredInfo {
 
 /// One declarative description of a serving deployment, consumed by
 /// QueryService::open() — the single factory every deployment shape funnels
-/// through (the legacy build/build_sharded/build_live/build_live_sharded/
-/// recover factories are thin wrappers over it).
+/// through.  Call sites spell it with designated initializers, e.g.
+/// `QueryService::open({.engine = &eng, .instance = &inst, .live = true})`.
 ///
 /// Shapes, by flag:
 ///   - in-process snapshot:        engine+instance            (sharded?)
@@ -67,7 +67,7 @@ struct ServiceConfig {
   const graph::Instance* instance = nullptr;
 
   bool sharded = false;        // vertex-range shards vs one monolith
-  std::size_t num_shards = 1;  // clamped to [1, n] like build_sharded
+  std::size_t num_shards = 1;  // clamped to [1, n]; see effective_shards
   bool live = false;           // updatable generation layer
 
   std::optional<PersistenceConfig> persist;
@@ -102,57 +102,15 @@ class QueryService {
   /// THE factory: open the deployment `cfg` describes (see ServiceConfig).
   /// Throws ModelError (or ServiceError for network faults) when the config
   /// is inconsistent or the deployment cannot be reached/recovered.
+  ///
+  /// A live tier with `persist` is crash-consistent: the directory starts
+  /// with a generation-0 snapshot and every applied update is journaled
+  /// before its generation is visible.  Recovery (recover_existing) loads
+  /// the newest valid snapshot, truncates any torn journal tail, replays the
+  /// rest through the ordinary update path (each step's fingerprint chain
+  /// and classification checked against its record) and resumes journaling;
+  /// the result answers byte-identically to a tier that never crashed.
   static std::unique_ptr<QueryService> open(const ServiceConfig& cfg);
-
-  /// Legacy nickname for QueryService::RecoveredInfo (now a namespace-scope
-  /// struct so ServiceConfig can carry a pointer to one).
-  using RecoveredInfo = mpcmst::service::RecoveredInfo;
-
-  // Deprecated shape-specific factories: thin wrappers over open().  Prefer
-  // QueryService::open(ServiceConfig) in new code.
-
-  /// [[deprecated]] One distributed build, then serve (monolithic snapshot).
-  static std::unique_ptr<QueryService> build(mpc::Engine& eng,
-                                             const graph::Instance& inst,
-                                             ServiceOptions opts = {});
-
-  /// [[deprecated]] One distributed build scattered straight into
-  /// `num_shards` vertex-range shards, served through the QueryRouter.
-  /// A request for more shards than vertices is clamped; the count actually
-  /// built is reported in backend().receipt().effective_shards.
-  static std::unique_ptr<QueryService> build_sharded(
-      mpc::Engine& eng, const graph::Instance& inst, std::size_t num_shards,
-      ServiceOptions opts = {});
-
-  /// [[deprecated]] One distributed build behind the mutable generation
-  /// layer (LiveMonolithBackend): serve queries and absorb confirmed
-  /// changes.  With `persist`, the tier becomes crash-consistent: the
-  /// directory is initialized with a generation-0 snapshot, every applied
-  /// update is journaled before its generation is visible, and recover()
-  /// can reconstruct the tier after any process death.
-  static std::unique_ptr<QueryService> build_live(
-      mpc::Engine& eng, const graph::Instance& inst, ServiceOptions opts = {},
-      std::optional<PersistenceConfig> persist = std::nullopt);
-
-  /// [[deprecated]] Same, served from in-place-updatable vertex-range shards
-  /// (LiveShardedBackend); `num_shards` is clamped like build_sharded.
-  static std::unique_ptr<QueryService> build_live_sharded(
-      mpc::Engine& eng, const graph::Instance& inst, std::size_t num_shards,
-      ServiceOptions opts = {},
-      std::optional<PersistenceConfig> persist = std::nullopt);
-
-  /// [[deprecated]] Reconstruct a persisted live tier without any
-  /// distributed or host rebuild: load the newest valid snapshot in cfg.dir,
-  /// truncate any torn journal tail, replay the remaining records through
-  /// the ordinary update path (each step's fingerprint chain and
-  /// classification are checked against the record), and resume journaling.
-  /// The recovered service answers byte-identically to one that never
-  /// crashed — the CI recovery job enforces this against SIGKILLs at every
-  /// commit-path phase.  Throws ModelError when the directory holds no valid
-  /// snapshot or the journal does not chain.
-  static std::unique_ptr<QueryService> recover(const PersistenceConfig& cfg,
-                                               ServiceOptions opts = {},
-                                               RecoveredInfo* info = nullptr);
 
   /// Answer one query through the cache, inline on the calling thread.
   Answer answer(const Query& q);

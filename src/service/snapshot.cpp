@@ -432,11 +432,6 @@ std::shared_ptr<Persistence> Persistence::resume(PersistenceConfig cfg,
   return p;
 }
 
-void Persistence::commit(const JournalRecord& rec) {
-  journal_.append(rec);
-  ++since_checkpoint_;
-}
-
 void Persistence::commit_batch(const std::vector<JournalRecord>& recs) {
   journal_.append_batch(recs);
   since_checkpoint_ += recs.size();

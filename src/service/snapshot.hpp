@@ -53,7 +53,7 @@ void write_snapshot(const std::string& dir, std::uint64_t generation,
                     const SensitivityIndex& index,
                     const ShardedSensitivityIndex* shards);
 
-/// A deserialized tier: everything recover() needs to reconstruct a live
+/// A deserialized tier: everything recovery needs to reconstruct a live
 /// backend without rebuilding any label.
 struct TierImage {
   std::uint64_t generation = 0;
@@ -87,8 +87,8 @@ bool decode_index_shard(ByteReader& r, IndexShard& s);
 std::optional<TierImage> load_newest_snapshot(const std::string& dir);
 
 /// Journal + snapshot policy coordinator, owned (via shared_ptr) by a live
-/// backend and driven from inside its writer lock: commit() appends the
-/// journal record for an applied update, checkpoint() writes a snapshot,
+/// backend and driven from inside its writer lock: commit_batch() appends
+/// the journal records of an applied batch, checkpoint() writes a snapshot,
 /// truncates the journal and prunes superseded snapshot files.  Not
 /// internally synchronized — the backend's update lock is the serializer.
 class Persistence {
@@ -105,11 +105,8 @@ class Persistence {
   static std::shared_ptr<Persistence> resume(PersistenceConfig cfg,
                                              std::uint64_t tail_records);
 
-  /// Append + (per cfg.sync_mode) fsync one committed update.
-  void commit(const JournalRecord& rec);
-
-  /// Group commit for batch ingest: all records in one journal write and
-  /// one fsync (Journal::append_batch).
+  /// Group commit: all records of one ingest batch in one journal write and
+  /// (per cfg.sync_mode) one fsync (Journal::append_batch).
   void commit_batch(const std::vector<JournalRecord>& recs);
 
   /// Has the journal grown past cfg.snapshot_every_n since the last

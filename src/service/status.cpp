@@ -1,19 +1,6 @@
 #include "service/status.hpp"
 
-#include "service/query.hpp"
-
 namespace mpcmst::service {
-
-// The per-answer prefix of ServiceStatus must stay numerically identical to
-// query.hpp's Status: the wire layer transports answers with one code space.
-static_assert(static_cast<std::uint8_t>(ServiceStatus::kOk) ==
-              static_cast<std::uint8_t>(Status::kOk));
-static_assert(static_cast<std::uint8_t>(ServiceStatus::kUnknownEdge) ==
-              static_cast<std::uint8_t>(Status::kUnknownEdge));
-static_assert(static_cast<std::uint8_t>(ServiceStatus::kNotApplicable) ==
-              static_cast<std::uint8_t>(Status::kNotApplicable));
-static_assert(static_cast<std::uint8_t>(ServiceStatus::kWouldDisconnect) ==
-              static_cast<std::uint8_t>(Status::kWouldDisconnect));
 
 const char* to_string(ServiceStatus s) {
   switch (s) {

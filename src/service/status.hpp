@@ -1,11 +1,12 @@
 // Service-boundary error taxonomy: one enum for every way a call into the
 // serving tier can conclude, in-process or over a socket.
 //
-// The first four values mirror query.hpp's per-answer Status (an answered
-// query is a *successful* call — its Answer carries the per-query verdict);
-// the rest name the call-level failures that used to surface as bare
-// ModelError throws (poisoned backend, malformed request) plus the transport
-// failures the networked tier introduces.  The numeric values ARE the wire
+// The first four values are the per-answer verdicts (query.hpp's Status is
+// an alias of this enum; an answered query is a *successful* call — its
+// Answer carries the per-query verdict); the rest name the call-level
+// failures that used to surface as bare ModelError throws (poisoned backend,
+// malformed request) plus the transport failures the networked tier
+// introduces.  The numeric values ARE the wire
 // error codes (net/wire.hpp frames a kError reply as one code byte plus a
 // message), so a remote caller and an in-process caller observe the same
 // documented failure, and the README's ServiceStatus <-> wire-code table is
@@ -20,8 +21,7 @@
 namespace mpcmst::service {
 
 enum class ServiceStatus : std::uint8_t {
-  // Per-answer verdicts (mirror service::Status — pinned by static_asserts
-  // in status.cpp so the two enums can never drift).
+  // Per-answer verdicts (Answer::status, UpdateReport::status).
   kOk = 0,
   kUnknownEdge = 1,      // {u, v} resolves to no edge
   kNotApplicable = 2,    // e.g. replacement_edge of a non-tree edge

@@ -60,7 +60,7 @@ struct ServiceMetrics {
   Histogram* snapshot_load;
   Counter* checkpoints;
 
-  // Recovery (one sample per recover() call).
+  // Recovery (one sample per recovery).
   Counter* recoveries;
   Histogram* recovery_snapshot_load;
   Histogram* recovery_tail_scan;

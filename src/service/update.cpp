@@ -711,10 +711,12 @@ LiveCore::Outcome LiveCore::apply_event(const EdgeEvent& ev) {
   return {};
 }
 
-// Commit-path building blocks (declared in update.hpp): shared by both live
-// backends and the networked leader so receipts, journal frames and the
-// epoch-advance rule can never drift between deployments.
+namespace {
 
+// Commit-path building blocks of LiveBackend::ingest.
+
+/// Receipt assembly for one applied outcome (the caller stamps the
+/// generation after deciding whether the epoch advances).
 UpdateReceipt make_update_receipt(const LiveCore& core,
                                   const LiveCore::Outcome& out,
                                   std::uint64_t old_fingerprint) {
@@ -732,6 +734,7 @@ UpdateReceipt make_update_receipt(const LiveCore& core,
   return r;
 }
 
+/// Does this report advance the epoch (kOk and not kNoChange)?
 bool advances_epoch(const UpdateReport& rep) {
   return rep.status == Status::kOk && rep.cls != UpdateClass::kNoChange;
 }
@@ -753,6 +756,7 @@ JournalRecord make_journal_record(std::uint64_t epoch, const UpdateReceipt& r,
   return rec;
 }
 
+/// Per-classification totals and latency (duration_ns == 0: clock skipped).
 void record_update_telemetry(const UpdateReceipt& r,
                              std::uint64_t duration_ns) {
   ServiceMetrics& tm = service_metrics();
@@ -764,6 +768,8 @@ void record_update_telemetry(const UpdateReceipt& r,
   tm.updates[cls]->inc();
   if (duration_ns != 0) tm.update_latency[cls]->record(duration_ns);
 }
+
+}  // namespace
 
 UpdateReceipt replay_journal_record(UpdatableBackend& backend,
                                     const JournalRecord& rec) {
@@ -798,59 +804,48 @@ UpdateReceipt replay_journal_record(UpdatableBackend& backend,
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// LiveMonolithBackend
 
-LiveMonolithBackend::LiveMonolithBackend(
-    graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
-    std::uint64_t initial_generation)
+// ---------------------------------------------------------------------------
+// LiveBackend: the one commit path
+
+LiveBackend::LiveBackend(graph::Instance inst,
+                         std::shared_ptr<const SensitivityIndex> snapshot,
+                         std::uint64_t initial_generation)
     : core_(std::move(inst), std::move(snapshot)),
       receipt_(core_.index().receipt()),
       generation_(initial_generation) {}
 
-std::shared_ptr<LiveMonolithBackend> LiveMonolithBackend::build(
-    mpc::Engine& eng, const graph::Instance& inst) {
-  return std::make_shared<LiveMonolithBackend>(
-      inst, SensitivityIndex::build(eng, inst));
-}
-
-Answer LiveMonolithBackend::answer(const Query& q) const {
-  check_not_poisoned();
-  std::shared_lock lock(mu_);
-  return answer_query(core_.index(), q);
-}
-
-std::size_t LiveMonolithBackend::n() const {
+std::size_t LiveBackend::n() const {
   std::shared_lock lock(mu_);
   return core_.index().n();
 }
 
-std::size_t LiveMonolithBackend::num_nontree() const {
+std::size_t LiveBackend::num_nontree() const {
   std::shared_lock lock(mu_);
   return core_.index().num_nontree();
 }
 
-bool LiveMonolithBackend::is_mst() const {
+bool LiveBackend::is_mst() const {
   std::shared_lock lock(mu_);
   return core_.index().is_mst();
 }
 
-std::size_t LiveMonolithBackend::violations() const {
+std::size_t LiveBackend::violations() const {
   std::shared_lock lock(mu_);
   return core_.index().violations();
 }
 
-std::uint64_t LiveMonolithBackend::fingerprint() const {
+std::uint64_t LiveBackend::fingerprint() const {
   std::shared_lock lock(mu_);
   return core_.index().fingerprint();
 }
 
-std::optional<EdgeRef> LiveMonolithBackend::find(Vertex u, Vertex v) const {
+std::optional<EdgeRef> LiveBackend::find(Vertex u, Vertex v) const {
   std::shared_lock lock(mu_);
   return core_.index().find(u, v);
 }
 
-std::optional<NonTreeEdgeInfo> LiveMonolithBackend::nontree_info(
+std::optional<NonTreeEdgeInfo> LiveBackend::nontree_info(
     std::int64_t orig_id) const {
   std::shared_lock lock(mu_);
   if (orig_id < 0 ||
@@ -859,12 +854,12 @@ std::optional<NonTreeEdgeInfo> LiveMonolithBackend::nontree_info(
   return core_.index().nontree_edge(orig_id);
 }
 
-graph::Instance LiveMonolithBackend::instance_snapshot() const {
+graph::Instance LiveBackend::instance_snapshot() const {
   std::shared_lock lock(mu_);
   return core_.instance();
 }
 
-void LiveMonolithBackend::check_not_poisoned() const {
+void LiveBackend::check_not_poisoned() const {
   if (poisoned_.load(std::memory_order_acquire)) {
     throw ServiceError(
         ServiceStatus::kPoisoned,
@@ -873,7 +868,7 @@ void LiveMonolithBackend::check_not_poisoned() const {
   }
 }
 
-std::vector<UpdateReceipt> LiveMonolithBackend::ingest(
+std::vector<UpdateReceipt> LiveBackend::ingest(
     const std::vector<EdgeEvent>& events) {
   const bool timed = metrics_enabled();
   std::vector<UpdateReceipt> receipts;
@@ -882,13 +877,17 @@ std::vector<UpdateReceipt> LiveMonolithBackend::ingest(
   durations.reserve(events.size());
   std::unique_lock lock(mu_);
   check_not_poisoned();
+  before_apply();
   std::uint64_t epoch = generation_.load(std::memory_order_relaxed);
   std::vector<JournalRecord> staged;
-  // Group commit: apply the whole batch under one writer section, stage the
-  // journal records, then make them durable with ONE append + fsync.  The
-  // epoch store comes after the commit, so nothing is acknowledged (and no
-  // new generation is visible) until the batch is on disk; any throw before
-  // that poisons the backend — applied-but-unjournaled state must not serve.
+  // Group commit: apply and publish the whole batch under one writer
+  // section, stage the journal records, then make them durable with ONE
+  // append + fsync.  The epoch store comes after the commit, so nothing is
+  // acknowledged (and no new generation is visible) until the batch is on
+  // disk; any throw before that poisons the backend — applied-but-
+  // unjournaled state (or labels published ahead of the epoch) must not
+  // serve.  publish() itself must not throw on a remote peer's fault: the
+  // leader marks the shard for re-bootstrap instead.
   try {
     for (const EdgeEvent& ev : events) {
       const std::uint64_t t0 = timed ? metrics_now_ns() : 0;
@@ -898,6 +897,7 @@ std::vector<UpdateReceipt> LiveMonolithBackend::ingest(
       if (advances_epoch(r.report)) {
         ++epoch;
         staged.push_back(make_journal_record(epoch, r, ev));
+        publish(out.changed, epoch);
       }
       r.generation = epoch;
       receipts.push_back(std::move(r));
@@ -915,7 +915,7 @@ std::vector<UpdateReceipt> LiveMonolithBackend::ingest(
   if (commit_listener_ && !staged.empty()) commit_listener_(staged);
   try {
     if (persist_ && persist_->checkpoint_due())
-      persist_->checkpoint(epoch, core_.index(), nullptr);
+      persist_->checkpoint(epoch, core_.index(), checkpoint_shards());
   } catch (...) {
     poisoned_.store(true, std::memory_order_release);
     throw;
@@ -926,17 +926,37 @@ std::vector<UpdateReceipt> LiveMonolithBackend::ingest(
   return receipts;
 }
 
-void LiveMonolithBackend::attach_persistence(std::shared_ptr<Persistence> p) {
+void LiveBackend::attach_persistence(std::shared_ptr<Persistence> p) {
   std::unique_lock lock(mu_);
   persist_ = std::move(p);
 }
 
-void LiveMonolithBackend::checkpoint() {
+void LiveBackend::checkpoint() {
   std::unique_lock lock(mu_);
   check_not_poisoned();
   if (!persist_) return;
   persist_->checkpoint(generation_.load(std::memory_order_relaxed),
-                       core_.index(), nullptr);
+                       core_.index(), checkpoint_shards());
+}
+
+// ---------------------------------------------------------------------------
+// LiveMonolithBackend
+
+LiveMonolithBackend::LiveMonolithBackend(
+    graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
+    std::uint64_t initial_generation)
+    : LiveBackend(std::move(inst), std::move(snapshot), initial_generation) {}
+
+std::shared_ptr<LiveMonolithBackend> LiveMonolithBackend::build(
+    mpc::Engine& eng, const graph::Instance& inst) {
+  return std::make_shared<LiveMonolithBackend>(
+      inst, SensitivityIndex::build(eng, inst));
+}
+
+Answer LiveMonolithBackend::answer(const Query& q) const {
+  check_not_poisoned();
+  std::shared_lock lock(mu_);
+  return answer_query(core_.index(), q);
 }
 
 // ---------------------------------------------------------------------------
@@ -945,19 +965,19 @@ void LiveMonolithBackend::checkpoint() {
 LiveShardedBackend::LiveShardedBackend(
     graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
     std::size_t num_shards)
-    : core_(std::move(inst), snapshot),
+    : LiveBackend(std::move(inst), snapshot, 0),
       shards_(*ShardedSensitivityIndex::split(
-          *snapshot, clamp_shard_count(num_shards, snapshot->n()))),
-      receipt_(shards_.receipt()) {}
+          *snapshot, clamp_shard_count(num_shards, snapshot->n()))) {
+  receipt_ = shards_.receipt();
+}
 
 LiveShardedBackend::LiveShardedBackend(
     graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
     std::shared_ptr<const ShardedSensitivityIndex> shards,
     std::uint64_t initial_generation)
-    : core_(std::move(inst), std::move(snapshot)),
-      shards_(*shards),
-      receipt_(shards_.receipt()),
-      generation_(initial_generation) {
+    : LiveBackend(std::move(inst), std::move(snapshot), initial_generation),
+      shards_(*shards) {
+  receipt_ = shards_.receipt();
   MPCMST_ASSERT(shards_.fingerprint() == core_.index().fingerprint(),
                 "recovered shard set does not match the monolithic snapshot");
   MPCMST_ASSERT(shards_.generation() == initial_generation,
@@ -978,55 +998,12 @@ Answer LiveShardedBackend::answer(const Query& q) const {
   return route_query(shards_, q);
 }
 
-std::size_t LiveShardedBackend::n() const {
-  std::shared_lock lock(mu_);
-  return shards_.n();
-}
-
-std::size_t LiveShardedBackend::num_nontree() const {
-  std::shared_lock lock(mu_);
-  return shards_.num_nontree();
-}
-
-bool LiveShardedBackend::is_mst() const {
-  std::shared_lock lock(mu_);
-  return shards_.is_mst();
-}
-
-std::size_t LiveShardedBackend::violations() const {
-  std::shared_lock lock(mu_);
-  return shards_.violations();
-}
-
-std::uint64_t LiveShardedBackend::fingerprint() const {
-  std::shared_lock lock(mu_);
-  return shards_.fingerprint();
-}
-
 std::size_t LiveShardedBackend::num_shards() const {
   std::shared_lock lock(mu_);
   return shards_.num_shards();
 }
 
-std::optional<EdgeRef> LiveShardedBackend::find(Vertex u, Vertex v) const {
-  std::shared_lock lock(mu_);
-  const auto res = shards_.resolve(u, v);
-  if (!res) return std::nullopt;
-  return res->ref;
-}
-
-std::optional<NonTreeEdgeInfo> LiveShardedBackend::nontree_info(
-    std::int64_t orig_id) const {
-  std::shared_lock lock(mu_);
-  return shards_.nontree_info(orig_id);
-}
-
-graph::Instance LiveShardedBackend::instance_snapshot() const {
-  std::shared_lock lock(mu_);
-  return core_.instance();
-}
-
-void LiveShardedBackend::scatter(const ChangedSet& changed,
+void LiveShardedBackend::publish(const ChangedSet& changed,
                                  std::uint64_t epoch) {
   persist_crash_point("shard-scatter");
   const SensitivityIndex& m = core_.index();
@@ -1072,78 +1049,13 @@ void LiveShardedBackend::scatter(const ChangedSet& changed,
   for (IndexShard& s : shards_.shards_) s.generation = epoch;
 }
 
-void LiveShardedBackend::check_not_poisoned() const {
-  if (poisoned_.load(std::memory_order_acquire)) {
-    throw ServiceError(
-        ServiceStatus::kPoisoned,
-        "live backend is poisoned: a journal commit failed after the "
-        "state mutated; recover the tier from its persistence dir");
-  }
-}
-
-std::vector<UpdateReceipt> LiveShardedBackend::ingest(
-    const std::vector<EdgeEvent>& events) {
-  const bool timed = metrics_enabled();
-  std::vector<UpdateReceipt> receipts;
-  std::vector<std::uint64_t> durations;
-  receipts.reserve(events.size());
-  durations.reserve(events.size());
-  std::unique_lock lock(mu_);
-  check_not_poisoned();
-  std::uint64_t epoch = generation_.load(std::memory_order_relaxed);
-  std::vector<JournalRecord> staged;
-  // Group commit (see the monolith's ingest): apply and scatter the whole
-  // batch under one writer section — scattering pre-commit is safe here
-  // because readers are excluded for the duration — then journal it with
-  // ONE append + fsync.  Any throw poisons: applied-but-unjournaled events
-  // (or shards stamped ahead of the published generation) must not serve.
-  try {
-    for (const EdgeEvent& ev : events) {
-      const std::uint64_t t0 = timed ? metrics_now_ns() : 0;
-      const std::uint64_t old_fp = shards_.fingerprint();
-      const auto out = core_.apply_event(ev);
-      UpdateReceipt r = make_update_receipt(core_, out, old_fp);
-      if (advances_epoch(r.report)) {
-        ++epoch;
-        staged.push_back(make_journal_record(epoch, r, ev));
-        scatter(out.changed, epoch);
-      }
-      r.generation = epoch;
-      receipts.push_back(std::move(r));
-      durations.push_back(timed ? metrics_now_ns() - t0 : 0);
-    }
-    if (persist_ && !staged.empty()) persist_->commit_batch(staged);
-  } catch (...) {
-    poisoned_.store(true, std::memory_order_release);
-    throw;
-  }
-  generation_.store(epoch, std::memory_order_release);
-  // Journal shipping tap (see the monolith's ingest).
-  if (commit_listener_ && !staged.empty()) commit_listener_(staged);
-  try {
-    if (persist_ && persist_->checkpoint_due())
-      persist_->checkpoint(epoch, core_.index(), &shards_);
-  } catch (...) {
-    poisoned_.store(true, std::memory_order_release);
-    throw;
-  }
-  lock.unlock();
-  for (std::size_t i = 0; i < receipts.size(); ++i)
-    record_update_telemetry(receipts[i], durations[i]);
-  return receipts;
-}
-
-void LiveShardedBackend::attach_persistence(std::shared_ptr<Persistence> p) {
-  std::unique_lock lock(mu_);
-  persist_ = std::move(p);
-}
-
-void LiveShardedBackend::checkpoint() {
-  std::unique_lock lock(mu_);
-  check_not_poisoned();
-  if (!persist_) return;
-  persist_->checkpoint(generation_.load(std::memory_order_relaxed),
-                       core_.index(), &shards_);
+std::shared_ptr<LiveBackend> make_live_backend(TierImage image) {
+  if (image.sharded())
+    return std::make_shared<LiveShardedBackend>(
+        std::move(image.instance), std::move(image.index),
+        std::move(image.shards), image.generation);
+  return std::make_shared<LiveMonolithBackend>(
+      std::move(image.instance), std::move(image.index), image.generation);
 }
 
 }  // namespace mpcmst::service

@@ -57,6 +57,7 @@
 namespace mpcmst::service {
 
 class Persistence;  // snapshot.hpp: journal + snapshot coordinator
+struct TierImage;   // snapshot.hpp: one loaded snapshot file
 
 enum class UpdateClass : std::uint8_t {
   kNoChange,          // new weight equals the current one (no mutation)
@@ -241,8 +242,10 @@ class LiveCore {
 ///
 /// ingest() is the single mutation entry point: the journal v2 op byte
 /// already discriminates reweight / insert / delete, so every other mutator
-/// is a one-line wrapper building a single-event batch.  Implementations
-/// provide exactly one lock/journal/poison commit path.
+/// is a one-line wrapper building a single-event batch.  LiveBackend (below)
+/// is the one implementation: its lock/journal/poison commit path serves the
+/// monolith, the in-process shards and the networked leader, which differ
+/// only in their publish hook.
 class UpdatableBackend : public IndexBackend {
  public:
   /// Absorb one confirmed weight change: ingest of a single kReweight event.
@@ -292,52 +295,27 @@ class UpdatableBackend : public IndexBackend {
   CommitListener commit_listener_;  // null: nobody listening
 };
 
-// Commit-path building blocks shared by the live backends and the networked
-// leader (net/), so receipts, journal frames and the epoch-advance rule can
-// never drift between deployments.
-
-/// Receipt assembly for one applied outcome (the caller stamps the
-/// generation after deciding whether the epoch advances).
-UpdateReceipt make_update_receipt(const LiveCore& core,
-                                  const LiveCore::Outcome& out,
-                                  std::uint64_t old_fingerprint);
-
-/// Does this report advance the epoch (kOk and not kNoChange)?
-bool advances_epoch(const UpdateReport& rep);
-
-/// The journal record for one applied event: the submitted inputs (replay
-/// re-dispatches them against the identical pre-state) plus the fingerprint
-/// chain and the epoch the change produced.
-JournalRecord make_journal_record(std::uint64_t epoch, const UpdateReceipt& r,
-                                  const EdgeEvent& ev);
-
-/// Per-classification totals and latency (duration_ns == 0: clock skipped).
-void record_update_telemetry(const UpdateReceipt& r,
-                             std::uint64_t duration_ns);
-
 /// Replay one committed journal record through the ordinary update path,
 /// holding the outcome to the record: the pre-state fingerprint must chain,
 /// and the replayed classification / fingerprint / generation must equal
 /// what the journal promised — or ModelError.  The caller owns the
-/// generation-contiguity check (recover() fails hard on a gap; a journal-
+/// generation-contiguity check (recovery fails hard on a gap; a journal-
 /// shipped replica treats a gap as "resubscribe from my generation").
 UpdateReceipt replay_journal_record(UpdatableBackend& backend,
                                     const JournalRecord& rec);
 
-/// The monolithic snapshot made live: LiveCore behind a reader-writer lock.
-class LiveMonolithBackend final : public UpdatableBackend {
+/// The one live commit path: LiveCore behind a reader-writer lock, with the
+/// journal group commit, fail-stop poison, epoch publish and checkpoint
+/// policy defined exactly once.  The three deployments derive from it and
+/// differ only in where a committed repair goes (publish()) and how they
+/// answer queries:
+///   - LiveMonolithBackend answers straight from the core;
+///   - LiveShardedBackend scatters into in-process shards;
+///   - the networked leader (net/client.cpp) ships patches to shard servers.
+/// Metadata reads (n, fingerprint, find, ...) are served from the core,
+/// which every deployment keeps authoritative.
+class LiveBackend : public UpdatableBackend {
  public:
-  /// `initial_generation` restores the epoch counter when reconstructing a
-  /// persisted tier (QueryService::recover); fresh builds leave it 0.
-  LiveMonolithBackend(graph::Instance inst,
-                      std::shared_ptr<const SensitivityIndex> snapshot,
-                      std::uint64_t initial_generation = 0);
-
-  /// One distributed build, then serve-and-absorb.
-  static std::shared_ptr<LiveMonolithBackend> build(mpc::Engine& eng,
-                                                    const graph::Instance& i);
-
-  Answer answer(const Query& q) const override;
   std::size_t n() const override;
   std::size_t num_nontree() const override;
   bool is_mst() const override;
@@ -347,7 +325,6 @@ class LiveMonolithBackend final : public UpdatableBackend {
   /// verbatim across generations, so this is a stable construction-time
   /// copy — safe to read without holding the lock.
   const CostReceipt& receipt() const override { return receipt_; }
-  std::size_t num_shards() const override { return 1; }
   std::uint64_t generation() const override {
     return generation_.load(std::memory_order_acquire);
   }
@@ -355,37 +332,78 @@ class LiveMonolithBackend final : public UpdatableBackend {
   std::optional<NonTreeEdgeInfo> nontree_info(
       std::int64_t orig_id) const override;
 
-  /// Single mutation path (see UpdatableBackend): apply each event under
-  /// the writer lock, group-commit the journal records (fail-stop on a
-  /// throwing commit), then publish the epoch.
-  std::vector<UpdateReceipt> ingest(
-      const std::vector<EdgeEvent>& events) override;
-  graph::Instance instance_snapshot() const override;
-  void attach_persistence(std::shared_ptr<Persistence> p) override;
-  void checkpoint() override;
+  /// Single mutation path (see UpdatableBackend): apply each event and
+  /// publish() its repairs under the writer lock (readers are excluded for
+  /// the duration, so publishing pre-commit is safe), group-commit the
+  /// journal records (fail-stop on a throwing commit), THEN store the epoch
+  /// — after publish(), so a lock-free generation() reader can never
+  /// observe epoch N+1 while published labels are still at N.
+  std::vector<UpdateReceipt> ingest(const std::vector<EdgeEvent>& events) final;
+  graph::Instance instance_snapshot() const final;
+  void attach_persistence(std::shared_ptr<Persistence> p) final;
+  void checkpoint() final;
 
- private:
+ protected:
+  /// `initial_generation` restores the epoch counter when reconstructing a
+  /// persisted tier; fresh builds leave it 0.  The receipt defaults to the
+  /// snapshot's; sharded deployments overwrite it in their constructor.
+  LiveBackend(graph::Instance inst,
+              std::shared_ptr<const SensitivityIndex> snapshot,
+              std::uint64_t initial_generation);
+
+  /// Throws ServiceError(kPoisoned) once a commit has failed.
   void check_not_poisoned() const;
+
+  /// Deployment hooks, all called under the writer lock.  publish() moves
+  /// one applied event's repairs to wherever queries read them and stamps
+  /// them with `epoch`; before_apply() runs once per ingest before the
+  /// first event; checkpoint_shards() is the shard set a snapshot stores
+  /// (null: monolithic image).
+  virtual void publish(const ChangedSet& changed, std::uint64_t epoch) = 0;
+  virtual void before_apply() {}
+  virtual const ShardedSensitivityIndex* checkpoint_shards() const {
+    return nullptr;
+  }
 
   mutable std::shared_mutex mu_;
   LiveCore core_;
-  const CostReceipt receipt_;  // never written after construction
-  std::atomic<std::uint64_t> generation_{0};
+  CostReceipt receipt_;  // written only by constructors
+  std::atomic<std::uint64_t> generation_;
+
+ private:
   std::shared_ptr<Persistence> persist_;  // null: in-memory only
   // Fail-stop: set when a journal commit (or checkpoint) throws while the
   // core already holds the new state.  Acknowledged state must equal
   // journaled state, so a backend that cannot journal refuses to serve —
-  // every entry point throws ModelError until the tier is recovered from
-  // its (consistent) persistence directory.
+  // every entry point throws ServiceError(kPoisoned) until the tier is
+  // recovered from its (consistent) persistence directory.
   std::atomic<bool> poisoned_{false};
 };
 
-/// The sharded serving tier made live: the same LiveCore classifies and
-/// repairs, and the changed labels are scattered into the owning shards in
-/// place (swaps re-split the relabeled monolith).  Every update stamps all
-/// shards with the new epoch before the lock is released — the barrier the
-/// top-k merge checks.
-class LiveShardedBackend final : public UpdatableBackend {
+/// The monolithic snapshot made live: queries read the core directly.
+class LiveMonolithBackend final : public LiveBackend {
+ public:
+  LiveMonolithBackend(graph::Instance inst,
+                      std::shared_ptr<const SensitivityIndex> snapshot,
+                      std::uint64_t initial_generation = 0);
+
+  /// One distributed build, then serve-and-absorb.
+  static std::shared_ptr<LiveMonolithBackend> build(mpc::Engine& eng,
+                                                    const graph::Instance& i);
+
+  Answer answer(const Query& q) const override;
+  std::size_t num_shards() const override { return 1; }
+
+ private:
+  void publish(const ChangedSet&, std::uint64_t) override {}
+};
+
+/// The sharded serving tier made live: the core classifies and repairs, and
+/// publish() scatters the changed labels into the owning shards in place
+/// (swaps re-split the relabeled monolith).  Every update stamps all shards
+/// with the new epoch before the lock is released — the barrier the top-k
+/// merge checks.
+class LiveShardedBackend final : public LiveBackend {
  public:
   LiveShardedBackend(graph::Instance inst,
                      std::shared_ptr<const SensitivityIndex> snapshot,
@@ -404,53 +422,28 @@ class LiveShardedBackend final : public UpdatableBackend {
                                                    std::size_t num_shards);
 
   Answer answer(const Query& q) const override;
-  std::size_t n() const override;
-  std::size_t num_nontree() const override;
-  bool is_mst() const override;
-  std::size_t violations() const override;
-  std::uint64_t fingerprint() const override;
-  /// Stable construction-time copy (the shard count, and with it
-  /// effective_shards, never changes): lock-free like the monolith's.
-  const CostReceipt& receipt() const override { return receipt_; }
   std::size_t num_shards() const override;
-  std::uint64_t generation() const override {
-    return generation_.load(std::memory_order_acquire);
-  }
   /// Partition arithmetic only (the vertex ranges never move, even across
   /// updates), so no lock — required: the batch fast path calls this while
   /// other workers hold the shared lock.
   std::size_t shard_hint(const Query& q) const override {
     return point_query_shard(shards_, q);
   }
-  std::optional<EdgeRef> find(Vertex u, Vertex v) const override;
-  std::optional<NonTreeEdgeInfo> nontree_info(
-      std::int64_t orig_id) const override;
-
-  /// Single mutation path (see UpdatableBackend): apply and scatter each
-  /// event under the writer lock (readers are excluded for the duration, so
-  /// scattering pre-commit is safe), group-commit, THEN publish the epoch —
-  /// the store comes after scatter() so a lock-free generation() reader can
-  /// never observe epoch N+1 while shard labels are still at N.
-  std::vector<UpdateReceipt> ingest(
-      const std::vector<EdgeEvent>& events) override;
-  graph::Instance instance_snapshot() const override;
-  void attach_persistence(std::shared_ptr<Persistence> p) override;
-  void checkpoint() override;
 
   /// Per-shard views for tests (hold no lock across updates).
   const ShardedSensitivityIndex& sharded() const { return shards_; }
 
  private:
-  void check_not_poisoned() const;
-  void scatter(const ChangedSet& changed, std::uint64_t epoch);
+  void publish(const ChangedSet& changed, std::uint64_t epoch) override;
+  const ShardedSensitivityIndex* checkpoint_shards() const override {
+    return &shards_;
+  }
 
-  mutable std::shared_mutex mu_;
-  LiveCore core_;
   ShardedSensitivityIndex shards_;
-  const CostReceipt receipt_;  // never written after construction
-  std::atomic<std::uint64_t> generation_{0};
-  std::shared_ptr<Persistence> persist_;  // null: in-memory only
-  std::atomic<bool> poisoned_{false};  // see LiveMonolithBackend::poisoned_
 };
+
+/// Serve a loaded snapshot image (recovery, or a replica's install) on the
+/// live backend its shape calls for: sharded images keep their shard set.
+std::shared_ptr<LiveBackend> make_live_backend(TierImage image);
 
 }  // namespace mpcmst::service

@@ -191,7 +191,8 @@ int run_child(const std::string& dir, std::uint64_t seed, int phase,
   g_kill = KillSpec{kPhases[phase], countdown};
   svc::set_persist_crash_hook(&crash_hook);
   svc::PersistenceConfig cfg{dir, svc::SyncMode::kCommit, kSnapshotEveryN};
-  auto service = svc::QueryService::recover(cfg);
+  auto service =
+      svc::QueryService::open({.persist = cfg, .recover_existing = true});
   const int intent_fd =
       ::open(intent_path(dir).c_str(), O_CREAT | O_WRONLY, 0644);
   if (intent_fd < 0) return 3;
@@ -229,8 +230,9 @@ std::uint64_t verify_recovery(const std::string& dir, const g::Instance& base,
                               std::uint64_t seed, std::uint64_t iter,
                               int phase, bool killed) {
   svc::PersistenceConfig cfg{dir, svc::SyncMode::kCommit, kSnapshotEveryN};
-  svc::QueryService::RecoveredInfo info;
-  auto service = svc::QueryService::recover(cfg, {}, &info);
+  svc::RecoveredInfo info;
+  auto service = svc::QueryService::open(
+      {.persist = cfg, .recover_existing = true, .recovered = &info});
   const std::uint64_t gen = service->backend().generation();
 
   // The committed prefix must be exactly the first `gen` attempts of the
@@ -293,11 +295,9 @@ int run_parent(const std::string& root, std::uint64_t seed, int iters,
       // recover -> update -> die -> recover.
       auto eng = mpcmst::test::make_engine(64 * base.input_words());
       svc::PersistenceConfig cfg{dir, svc::SyncMode::kCommit, kSnapshotEveryN};
-      if (shards == 1)
-        (void)svc::QueryService::build_live(eng, base, {}, cfg);
-      else
-        (void)svc::QueryService::build_live_sharded(eng, base, shards, {},
-                                                    cfg);
+      (void)svc::QueryService::open(
+          {.engine = &eng, .instance = &base, .sharded = shards > 1,
+           .num_shards = shards, .live = true, .persist = cfg});
     }
     ::unlink(intent_path(dir).c_str());  // a previous run's atomicity tag
 

@@ -152,11 +152,15 @@ TEST(Batch, SequentialBatchesSpanningAnUpdate) {
                                    std::size_t{8}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto eng = mpcmst::test::make_engine(64 * inst.input_words());
-    auto service = svc::QueryService::build_live_sharded(
-        eng, inst, shards, {.threads = 4, .chunk_size = 32});
+    auto service = svc::QueryService::open(
+        {.engine = &eng, .instance = &inst, .sharded = true,
+         .num_shards = shards, .live = true,
+         .options = {.threads = 4, .chunk_size = 32}});
     auto eng2 = mpcmst::test::make_engine(64 * inst.input_words());
-    auto oracle = svc::QueryService::build_live_sharded(
-        eng2, inst, shards, {.threads = 1, .cache_capacity = 0});
+    auto oracle = svc::QueryService::open(
+        {.engine = &eng2, .instance = &inst, .sharded = true,
+         .num_shards = shards, .live = true,
+         .options = {.threads = 1, .cache_capacity = 0}});
 
     const auto workload = make_workload(inst, 2000, 4013);
     const auto before = service->answer_batch(workload);
@@ -204,8 +208,9 @@ TEST(Batch, ConcurrentBatchRacingUpdates) {
   const auto post = svc::SensitivityIndex::build_host(post_inst);
 
   auto eng = mpcmst::test::make_engine(64 * inst.input_words());
-  auto service = svc::QueryService::build_live_sharded(
-      eng, inst, 3, {.threads = 4, .chunk_size = 16});
+  auto service = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .sharded = true, .num_shards = 3,
+       .live = true, .options = {.threads = 4, .chunk_size = 16}});
   const auto workload = make_workload(inst, 3000, 5009);
   std::vector<svc::Answer> got;
   std::thread updater([&] {

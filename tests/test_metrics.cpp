@@ -338,7 +338,9 @@ TEST(Telemetry, MixedWorkloadMovesEverySeries) {
   opts.threads = 2;
   opts.cache_capacity = 4;
   opts.cache_shards = 2;
-  auto service = svc::QueryService::build_live(eng, inst, opts, persist);
+  auto service = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .live = true, .persist = persist,
+       .options = opts});
 
   // Batched queries across all four kinds (cold), then again (some hits
   // survive even in a 4-entry cache: the probe tail stays resident).
@@ -420,8 +422,10 @@ TEST(Telemetry, MixedWorkloadMovesEverySeries) {
     service->apply_update(s.nontree[0].u, s.nontree[0].v, s.nontree[0].w + 7);
   }
   service.reset();  // release the journal before recovering
-  svc::QueryService::RecoveredInfo info;
-  service = svc::QueryService::recover(persist, opts, &info);
+  svc::RecoveredInfo info;
+  service = svc::QueryService::open(
+      {.persist = persist, .recover_existing = true, .recovered = &info,
+       .options = opts});
   EXPECT_GE(info.replayed_records, 1u);
 
   const MetricsSnapshot after = reg.snapshot();

@@ -95,6 +95,40 @@ bool wait_until(const std::function<bool()>& cond, int timeout_ms) {
   return cond();
 }
 
+TEST(NetServer, ConnectionChurnReapsFinishedThreads) {
+  if constexpr (mpcmst::kMetricsCompiledOut)
+    GTEST_SKIP() << "MPCMST_NO_METRICS";
+  mpcmst::Gauge& held =
+      mpcmst::MetricsRegistry::instance().gauge("net_server_connections");
+  net::ShardServer server(net::Listener::bind("127.0.0.1:0"));
+  server.start();
+  const std::int64_t base = held.value();
+  // Connect, ping (so the server has accepted and is serving), and return
+  // the socket; dropping it closes the connection.
+  const auto ping = [&] {
+    net::Socket s = net::dial(server.endpoint(), net::NetOptions{});
+    net::send_frame(s, net::MsgType::kPing, mpcmst::ByteWriter());
+    EXPECT_EQ(net::recv_frame(s).type, net::MsgType::kPong);
+    return s;
+  };
+  {
+    const net::Socket open = ping();
+    EXPECT_EQ(held.value(), base + 1);
+  }
+  for (int i = 0; i < 200; ++i) (void)ping();
+  // Each accept joins every connection thread that has finished; one still
+  // winding down when the last accept ran is reaped by the next one.
+  EXPECT_TRUE(wait_until(
+      [&] {
+        (void)ping();
+        return held.value() <= base + 1;
+      },
+      5000))
+      << "connection threads held: " << held.value() - base;
+  server.stop();
+  EXPECT_EQ(held.value(), base);
+}
+
 TEST(NetLeader, ParityUnderInterleavedAndConcurrentUpdates) {
   const g::Instance inst = make_instance(40, 31);
 

@@ -1,11 +1,11 @@
 // Unit tests for the persistence layer (src/service/journal.hpp,
-// src/service/snapshot.hpp) and QueryService::recover: journal framing and
-// torn-tail truncation against hand-corrupted record bytes, snapshot
-// round-trips on monolithic and sharded tiers (pure deserialization — load
-// must reproduce the label columns byte-for-byte), newest-valid snapshot
-// selection over a corrupted file, the snapshot_every_n compaction policy,
-// and end-to-end recovery parity with both the live tier it mirrors and a
-// fresh rebuild of the same instance.  The SIGKILL-under-load side lives in
+// src/service/snapshot.hpp) and recovery through QueryService::open: journal
+// framing and torn-tail truncation against hand-corrupted record bytes,
+// snapshot round-trips on monolithic and sharded tiers (pure deserialization —
+// load must reproduce the label columns byte-for-byte), newest-valid snapshot
+// selection over a corrupted file, the snapshot_every_n compaction policy, and
+// end-to-end recovery parity with both the live tier it mirrors and a fresh
+// rebuild of the same instance.  The SIGKILL-under-load side lives in
 // tests/crash_harness.cpp, driven by the CI `recovery` job.
 #include <gtest/gtest.h>
 
@@ -239,7 +239,8 @@ TEST(Persist, RecoverFromV1FixtureMatchesV2) {
   svc::PersistenceConfig cfg;
   cfg.dir = dir.str();
   cfg.snapshot_every_n = 0;  // journal-only: recovery replays everything
-  auto live = svc::QueryService::build_live(eng, inst, {}, cfg);
+  auto live = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .live = true, .persist = cfg});
   std::mt19937_64 rng(0xbead);
   std::size_t applied = 0;
   while (applied < 8) {
@@ -265,8 +266,9 @@ TEST(Persist, RecoverFromV1FixtureMatchesV2) {
   write_v1_journal(path, scan.records);
   ASSERT_EQ(svc::Journal::scan(path).version, 1u);
 
-  svc::QueryService::RecoveredInfo info;
-  auto recovered = svc::QueryService::recover(cfg, {}, &info);
+  svc::RecoveredInfo info;
+  auto recovered = svc::QueryService::open(
+      {.persist = cfg, .recover_existing = true, .recovered = &info});
   EXPECT_EQ(info.replayed_records, 8u);
   EXPECT_EQ(recovered->backend().generation(), want_gen);
   EXPECT_EQ(recovered->backend().fingerprint(), want_fp);
@@ -351,7 +353,9 @@ TEST(Persist, RecoverMatchesLiveTierAndFreshRebuild) {
   svc::PersistenceConfig cfg;
   cfg.dir = dir.str();
   cfg.snapshot_every_n = 0;  // journal-only: recovery replays everything
-  auto live = svc::QueryService::build_live_sharded(eng, inst, 3, {}, cfg);
+  auto live = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .sharded = true, .num_shards = 3,
+       .live = true, .persist = cfg});
 
   // Drive a deterministic mix of reweights and swaps through the tier.
   std::mt19937_64 rng(0xfeed);
@@ -375,8 +379,9 @@ TEST(Persist, RecoverMatchesLiveTierAndFreshRebuild) {
     if (r.report.cls != svc::UpdateClass::kNoChange) ++applied;
   }
 
-  svc::QueryService::RecoveredInfo info;
-  auto recovered = svc::QueryService::recover(cfg, {}, &info);
+  svc::RecoveredInfo info;
+  auto recovered = svc::QueryService::open(
+      {.persist = cfg, .recover_existing = true, .recovered = &info});
   EXPECT_EQ(info.snapshot_generation, 0u);
   EXPECT_EQ(info.replayed_records, 25u);
   EXPECT_FALSE(info.journal_was_torn);
@@ -406,7 +411,8 @@ TEST(Persist, RecoverMatchesLiveTierAndFreshRebuild) {
       c, current.tree.parent[static_cast<std::size_t>(c)], 33);
   if (r2.report.cls != svc::UpdateClass::kNoChange) {
     recovered.reset();  // release the journal before recovering again
-    auto again = svc::QueryService::recover(cfg);
+    auto again =
+        svc::QueryService::open({.persist = cfg, .recover_existing = true});
     EXPECT_EQ(again->backend().fingerprint(), r2.new_fingerprint);
   }
 }
@@ -419,7 +425,8 @@ TEST(Persist, CompactionPolicyBoundsTheJournal) {
   cfg.dir = dir.str();
   cfg.sync_mode = svc::SyncMode::kNever;
   cfg.snapshot_every_n = 4;
-  auto live = svc::QueryService::build_live(eng, inst, {}, cfg);
+  auto live = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .live = true, .persist = cfg});
 
   std::mt19937_64 rng(42);
   std::size_t applied = 0;
@@ -442,8 +449,9 @@ TEST(Persist, CompactionPolicyBoundsTheJournal) {
   // Old snapshots are pruned down to the newest two.
   EXPECT_EQ(svc::list_snapshot_files(dir.str()).size(), 2u);
 
-  svc::QueryService::RecoveredInfo info;
-  auto recovered = svc::QueryService::recover(cfg, {}, &info);
+  svc::RecoveredInfo info;
+  auto recovered = svc::QueryService::open(
+      {.persist = cfg, .recover_existing = true, .recovered = &info});
   EXPECT_EQ(info.snapshot_generation, 8u);
   EXPECT_EQ(info.replayed_records, 2u);
   EXPECT_EQ(recovered->backend().generation(), 10u);
@@ -463,7 +471,9 @@ TEST(Persist, CompactionPolicyBoundsTheJournal) {
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() / 2] ^= 0x01;
   write_file(newest, bytes);
-  EXPECT_THROW((void)svc::QueryService::recover(cfg), mpcmst::ModelError);
+  EXPECT_THROW(
+      (void)svc::QueryService::open({.persist = cfg, .recover_existing = true}),
+      mpcmst::ModelError);
 }
 
 }  // namespace

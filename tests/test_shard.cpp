@@ -385,7 +385,8 @@ TEST(Shard, BuildShardedServiceEndToEnd) {
   g::assign_random_tree_weights(tree, 1, 15, 461);
   const auto inst = g::make_mst_instance(std::move(tree), 160, 463, 3);
   auto eng = mpcmst::test::make_engine(64 * inst.input_words());
-  const auto service = svc::QueryService::build_sharded(eng, inst, 4);
+  const auto service = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .sharded = true, .num_shards = 4});
   EXPECT_EQ(service->backend().num_shards(), 4u);
   EXPECT_TRUE(service->backend().is_mst());
   EXPECT_GT(service->backend().receipt().build_rounds, 0u);

@@ -444,7 +444,8 @@ TEST(StillMst, SurvivesSnapshotRecovery) {
   const svc::Query q = svc::Query::still_mst(batch);
   const auto want = live->answer(q);
 
-  auto recovered = svc::QueryService::recover(cfg);
+  auto recovered =
+      svc::QueryService::open({.persist = cfg, .recover_existing = true});
   ASSERT_NE(recovered, nullptr);
   const auto got = recovered->answer(q);
   EXPECT_TRUE(got == want)

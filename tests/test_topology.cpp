@@ -331,8 +331,9 @@ TEST(Topology, ChurnOracleSoak) {
     // --- every 50 steps: bounce every tier through journal + recover ---
     if (step % 50 == 49) {
       for (auto& [cfg, live] : persisted) {
-        svc::QueryService::RecoveredInfo info;
-        auto rec = svc::QueryService::recover(cfg, {}, &info);
+        svc::RecoveredInfo info;
+        auto rec = svc::QueryService::open(
+            {.persist = cfg, .recover_existing = true, .recovered = &info});
         ASSERT_EQ(rec->backend().generation(), live->generation())
             << "step " << step << " " << cfg.dir;
         ASSERT_EQ(rec->backend().fingerprint(), live->fingerprint())
@@ -387,8 +388,9 @@ TEST(Topology, IngestBatchMatchesSequentialApply) {
   const auto persist_root = soak_dir("ingest");
   svc::PersistenceConfig cfg{persist_root.sub("tier"), svc::SyncMode::kCommit,
                              /*snapshot_every_n=*/0};
-  auto service = svc::QueryService::build_live_sharded(eng, base, 3,
-                                                       {.chunk_size = 16}, cfg);
+  auto service = svc::QueryService::open(
+      {.engine = &eng, .instance = &base, .sharded = true, .num_shards = 3,
+       .live = true, .persist = cfg, .options = {.chunk_size = 16}});
 
   // Deterministic event stream against the evolving instance (the canonical
   // transform tracks what each event will see).
@@ -423,7 +425,8 @@ TEST(Topology, IngestBatchMatchesSequentialApply) {
   for (const auto& q : queries)
     ASSERT_EQ(service->backend().answer(q), oracle.answer(q)) << to_string(q);
   service.reset();  // release the journal before recovering
-  auto recovered = svc::QueryService::recover(cfg);
+  auto recovered =
+      svc::QueryService::open({.persist = cfg, .recover_existing = true});
   EXPECT_EQ(recovered->backend().generation(), expect_gen);
   for (const auto& q : queries)
     ASSERT_EQ(recovered->backend().answer(q), oracle.answer(q))
@@ -488,8 +491,9 @@ void run_fail_stop_case(const std::shared_ptr<svc::UpdatableBackend>& backend,
 
   // Recovery truncates the torn half-record and lands exactly on the state
   // the journal acknowledged — the mutated-but-uncommitted update is gone.
-  svc::QueryService::RecoveredInfo info;
-  auto recovered = svc::QueryService::recover(cfg, {}, &info);
+  svc::RecoveredInfo info;
+  auto recovered = svc::QueryService::open(
+      {.persist = cfg, .recover_existing = true, .recovered = &info});
   EXPECT_TRUE(info.journal_was_torn);
   EXPECT_EQ(recovered->backend().generation(), gen_before);
   EXPECT_EQ(recovered->backend().fingerprint(), fp_before);
@@ -569,7 +573,8 @@ TEST(Topology, IngestFaultPoisonsMidBatch) {
   // can never be durable: recovery lands strictly before the full batch, on
   // whichever prefix of intact frames survived, and matches the canonical
   // transform of exactly that prefix.
-  auto recovered = svc::QueryService::recover(cfg);
+  auto recovered =
+      svc::QueryService::open({.persist = cfg, .recover_existing = true});
   const std::uint64_t gen = recovered->backend().generation();
   EXPECT_LT(gen, batch.size());
   ASSERT_LT(gen, prefix_fp.size());

@@ -8,7 +8,7 @@
 // tier is recovered from disk and held to the same oracle: fingerprint and
 // generation continuity plus byte-identical answers.  Plus: cache-generation
 // safety (a pre-update answer can never be served post-update; entries of a
-// byte-identical generation still hit), the build_sharded shard-count clamp
+// byte-identical generation still hit), the sharded open() shard-count clamp
 // regression, epoch stamping, and concurrent queries during updates (the
 // paths the ASan/UBSan CI jobs watch).
 #include <gtest/gtest.h>
@@ -228,8 +228,9 @@ TEST(Update, ChurnOracleSoak) {
     // like the fresh-rebuild oracle.
     if (step % 50 == 49) {
       for (auto& [cfg, live] : persisted) {
-        svc::QueryService::RecoveredInfo info;
-        auto rec = svc::QueryService::recover(cfg, {}, &info);
+        svc::RecoveredInfo info;
+        auto rec = svc::QueryService::open(
+            {.persist = cfg, .recover_existing = true, .recovered = &info});
         ASSERT_EQ(rec->backend().generation(), live->generation())
             << "step " << step << " " << cfg.dir;
         ASSERT_EQ(rec->backend().fingerprint(), live->fingerprint())
@@ -256,8 +257,9 @@ TEST(Update, CacheGenerationSafety) {
   const auto inst = g::make_mst_instance(std::move(tree), 200, 417,
                                          /*slack=*/6);
   auto eng = mpcmst::test::make_engine(64 * inst.input_words());
-  auto service = svc::QueryService::build_live(
-      eng, inst, {.threads = 2, .cache_capacity = 1 << 12});
+  auto service = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .live = true,
+       .options = {.threads = 2, .cache_capacity = 1 << 12}});
   ASSERT_TRUE(service->updatable());
 
   // A covered tree edge with real headroom (sens >= 1), so a +1 reweight is
@@ -333,14 +335,17 @@ TEST(Update, BuildShardedClampsShardCount) {
   const auto inst = g::make_mst_instance(std::move(tree), 60, 437, 3);
 
   auto eng = mpcmst::test::make_engine(64 * inst.input_words());
-  const auto service = svc::QueryService::build_sharded(eng, inst, 1000);
+  const auto service = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .sharded = true, .num_shards = 1000});
   // Regression: 1000 requested shards on 30 vertices used to build 970
   // empty ranges; now the count is clamped and reported.
   EXPECT_EQ(service->backend().num_shards(), 30u);
   EXPECT_EQ(service->backend().receipt().effective_shards, 30u);
 
   auto eng2 = mpcmst::test::make_engine(64 * inst.input_words());
-  const auto live = svc::QueryService::build_live_sharded(eng2, inst, 99);
+  const auto live = svc::QueryService::open(
+      {.engine = &eng2, .instance = &inst, .sharded = true, .num_shards = 99,
+       .live = true});
   EXPECT_EQ(live->backend().num_shards(), 30u);
   EXPECT_EQ(live->backend().receipt().effective_shards, 30u);
 
@@ -362,7 +367,8 @@ TEST(Update, BuildShardedClampsShardCount) {
 
   // Sane requests are untouched.
   auto eng3 = mpcmst::test::make_engine(64 * inst.input_words());
-  const auto four = svc::QueryService::build_sharded(eng3, inst, 4);
+  const auto four = svc::QueryService::open(
+      {.engine = &eng3, .instance = &inst, .sharded = true, .num_shards = 4});
   EXPECT_EQ(four->backend().num_shards(), 4u);
   EXPECT_EQ(four->backend().receipt().effective_shards, 4u);
 }
@@ -428,9 +434,10 @@ TEST(Update, ConcurrentQueriesDuringUpdates) {
   g::assign_random_tree_weights(tree, 1, 50, 463);
   const auto inst = g::make_mst_instance(std::move(tree), 180, 467, 5);
   auto eng = mpcmst::test::make_engine(64 * inst.input_words());
-  auto service = svc::QueryService::build_live_sharded(
-      eng, inst, 4, {.threads = 4, .cache_capacity = 1 << 10,
-                     .chunk_size = 16});
+  auto service = svc::QueryService::open(
+      {.engine = &eng, .instance = &inst, .sharded = true, .num_shards = 4,
+       .live = true,
+       .options = {.threads = 4, .cache_capacity = 1 << 10, .chunk_size = 16}});
 
   std::vector<svc::Query> workload;
   std::mt19937_64 rng(0xabc);

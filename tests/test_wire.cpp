@@ -273,6 +273,75 @@ TEST(WireCodec, ReceiptMetaStatsBodies) {
   EXPECT_EQ(so.serving, st.serving);
 }
 
+/// Pack `body` with byte `at` overwritten into a CRC-valid frame and parse it
+/// back: the corruption is authentic as far as framing can tell.
+net::Frame frame_with_byte(const mpcmst::ByteWriter& body, std::size_t at,
+                           std::uint8_t value) {
+  std::vector<unsigned char> bytes = body.data();
+  bytes[at] = value;
+  const auto packed =
+      net::pack_frame(MsgType::kQueryReply, bytes.data(), bytes.size());
+  net::Frame f;
+  EXPECT_EQ(net::parse_frame(packed.data(), packed.size(), f),
+            svc::ServiceStatus::kOk);
+  return f;
+}
+
+TEST(WireCodec, OutOfRangeEnumBytesRefused) {
+  mpcmst::ByteWriter answer;
+  net::encode_answer(answer, svc::Answer{});
+  mpcmst::ByteWriter receipt;
+  net::encode_update_receipt(receipt, svc::UpdateReceipt{});
+  mpcmst::ByteWriter error;
+  net::encode_error(error, svc::ServiceStatus::kTimeout, "late");
+
+  // In range at the edge of each enum: still decodes.
+  {
+    const net::Frame f = frame_with_byte(
+        answer, 0, static_cast<std::uint8_t>(svc::Status::kWouldDisconnect));
+    mpcmst::ByteReader r(f.body.data(), f.body.size());
+    svc::Answer a;
+    EXPECT_TRUE(net::decode_answer(r, a));
+  }
+  {
+    const net::Frame f =
+        frame_with_byte(receipt, 1, svc::kNumUpdateClasses - 1);
+    mpcmst::ByteReader r(f.body.data(), f.body.size());
+    svc::UpdateReceipt rc;
+    EXPECT_TRUE(net::decode_update_receipt(r, rc));
+  }
+
+  // One past: a per-answer status never carries a call-level failure, a
+  // class names one of kNumUpdateClasses, an error code one ServiceStatus.
+  for (const std::uint8_t bad :
+       {static_cast<std::uint8_t>(svc::ServiceStatus::kPoisoned),
+        std::uint8_t{0xff}}) {
+    const net::Frame f = frame_with_byte(answer, 0, bad);
+    mpcmst::ByteReader r(f.body.data(), f.body.size());
+    svc::Answer a;
+    EXPECT_FALSE(net::decode_answer(r, a)) << int{bad};
+    const net::Frame g = frame_with_byte(receipt, 0, bad);
+    mpcmst::ByteReader rr(g.body.data(), g.body.size());
+    svc::UpdateReceipt rc;
+    EXPECT_FALSE(net::decode_update_receipt(rr, rc)) << int{bad};
+  }
+  {
+    const net::Frame f = frame_with_byte(receipt, 1, svc::kNumUpdateClasses);
+    mpcmst::ByteReader r(f.body.data(), f.body.size());
+    svc::UpdateReceipt rc;
+    EXPECT_FALSE(net::decode_update_receipt(r, rc));
+  }
+  {
+    const net::Frame f = frame_with_byte(
+        error, 0,
+        static_cast<std::uint8_t>(svc::ServiceStatus::kUnavailable) + 1);
+    mpcmst::ByteReader r(f.body.data(), f.body.size());
+    svc::ServiceStatus status{};
+    std::string msg;
+    EXPECT_FALSE(net::decode_error(r, status, msg));
+  }
+}
+
 TEST(WireCodec, ResolvedChangesAndPatchBodies) {
   const std::vector<mpcmst::verify::ResolvedChange> cs{
       {true, 3, 9}, {false, 1, -2}};
