@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   auto service = service::QueryService::open(
       {.engine = &eng, .instance = &inst, .live = true, .persist = persist});
 
-  // --- a mixed batch over all four query kinds, run cold then warm ---
+  // --- a mixed batch over all five query kinds, run twice ---
   std::vector<service::Query> batch;
   for (graph::Vertex v = 1; v < static_cast<graph::Vertex>(n); v += 7) {
     const graph::Vertex p = inst.tree.parent[v];
@@ -78,8 +78,10 @@ int main(int argc, char** argv) {
     batch.push_back(service::Query::corridor_headroom(v, p));
   }
   batch.push_back(service::Query::top_k_fragile(10));
-  service->answer_batch(batch);  // cold: misses, evaluated on the pool
-  service->answer_batch(batch);  // warm: bulk cache hits
+  batch.push_back(service::Query::still_mst(
+      {{1, inst.tree.parent[1], inst.tree.weight[1] + 50}}));
+  service->answer_batch(batch);  // the scenario misses the cache
+  service->answer_batch(batch);  // ... and hits it on the second pass
 
   // --- updates spanning the classification lattice ---
   // Each class leaves its own counter + latency series behind; the headroom
@@ -130,7 +132,7 @@ int main(int argc, char** argv) {
   service::RecoveredInfo info;
   service = service::QueryService::open(
       {.persist = persist, .recover_existing = true, .recovered = &info});
-  service->answer_batch(batch);  // cache is cold again post-recover
+  service->answer_batch(batch);  // the still_mst cache is cold again
   std::cout << "# workload: " << applied << " updates applied, generation "
             << gen_before << " -> recovered " << service->backend().generation()
             << " (snapshot " << info.snapshot_generation << " + "

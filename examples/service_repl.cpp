@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
                 << backend.num_shards() << " shard"
                 << (backend.num_shards() == 1 ? "" : "s") << ", generation "
                 << s.generation << "\n"
-                << "cache: hit rate "
+                << "still_mst cache: hit rate "
                 << format_double(100.0 * s.cache.hit_rate()) << "% ("
                 << s.cache.hits << " hits, " << s.cache.misses << " misses, "
                 << s.cache.evictions << " evictions, " << s.cache.entries

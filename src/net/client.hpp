@@ -75,12 +75,14 @@ class ShardConn {
 /// metas are inconsistent with each other or with the endpoint list.
 ///
 /// Freshness: fingerprint()/generation() report the newest epoch this
-/// attach has *observed* — every wire round-trip (any cache miss) advances
-/// them, but a QueryService cache hit does not touch the wire, so answers
-/// cached before a remote update remain servable until the next miss
-/// observes the new stamp.  The leader's own service never has this window
-/// (its epoch advances synchronously with ingest); read-only attaches that
-/// need per-query freshness should serve with cache_capacity = 0.
+/// attach has *observed* — every wire round-trip advances them.  Point
+/// queries and top-k always cross the wire.  Only still_mst can be served
+/// from a stale observed epoch: a QueryService cache hit does not touch the
+/// wire, so a still_mst answer cached before a remote update stays servable
+/// until the next round-trip observes the new stamp.  The leader's own
+/// service never has this window (its epoch advances synchronously with
+/// ingest); read-only attaches that need fresh still_mst answers should
+/// serve with cache_capacity = 0.
 std::shared_ptr<const IndexBackend> make_remote_backend(
     const std::vector<std::string>& endpoints, NetOptions opts = {});
 

@@ -1,31 +1,20 @@
-// Sharded LRU result cache of the query service.
+// LRU result cache of the query service.
 //
-// The keyspace is split across independently-locked shards (shard = key hash
-// high bits), so concurrent workers rarely contend on the same mutex; each
-// shard is a classic intrusive-list LRU over an unordered_map.  Keys are
-// compared for real equality — the hash only routes, it never answers — so
-// hash collisions cost a lookup, never a wrong answer.
-//
-// Two lock disciplines:
-//   - get()/put() take the shard mutex per call (single-query path);
-//   - get_many()/put_many() bucket a whole batch by shard and take each
-//     touched shard's mutex once (the answer_batch fast path).
-// Contention note (2-core container, bench_service_throughput 100k, warm
-// pass, batch 16384): the per-query path spends ~35% of its wall time in
-// lock acquisition + task handoff; the batched path's one-lock-per-shard
-// discipline removes that entirely — see the loop vs batch columns in
-// BENCH_service.json.  The capacity==0 (disabled) fast path returns before
-// touching any mutex, so a cache-off service never serializes its workers.
+// Only still_mst answers are cached: each costs milliseconds of certificate
+// work, so one mutex-guarded LRU (an intrusive list over an unordered_map)
+// is far below the work it saves.  Point queries and top-k are answered
+// straight from the labels — cheaper than any probe.  Keys are compared for
+// real equality (the hash only buckets), so a hash collision costs a lookup,
+// never a wrong answer.  The capacity == 0 (disabled) path returns before
+// touching the mutex.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/metrics.hpp"
 
@@ -44,24 +33,19 @@ struct CacheStats {
 };
 
 template <class Key, class Value, class Hash = std::hash<Key>>
-class ShardedLruCache {
+class LruCache {
  public:
-  /// `capacity` entries total, spread over `shards` independent LRUs.
-  /// capacity == 0 disables caching (every get misses, puts are dropped).
-  explicit ShardedLruCache(std::size_t capacity, std::size_t shards = 16)
-      : shards_(shards ? shards : 1) {
-    per_shard_capacity_ = capacity / shards_.size();
-    if (capacity > 0 && per_shard_capacity_ == 0) per_shard_capacity_ = 1;
-  }
+  /// At most `capacity` entries; capacity == 0 disables caching (every get
+  /// misses without counting, puts are dropped).
+  explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Is any entry ever admitted?  Lock-free; callers use it to skip key
   /// construction entirely when the cache is configured off.
-  bool enabled() const noexcept { return per_shard_capacity_ > 0; }
+  bool enabled() const noexcept { return capacity_ > 0; }
 
   /// Mirror hit/miss/eviction accounting into registry counters (owned by
   /// the MetricsRegistry, so their lifetime always exceeds the cache's).
-  /// The bulk paths add once per touched shard, the same batching the
-  /// shard atomics already use; null pointers (the default) cost nothing.
+  /// Null pointers (the default) cost nothing.
   void set_metric_counters(Counter* hits, Counter* misses,
                            Counter* evictions) noexcept {
     hits_metric_ = hits;
@@ -70,168 +54,52 @@ class ShardedLruCache {
   }
 
   std::optional<Value> get(const Key& key) {
-    // Disabled caches never touch a mutex and report zero lookups — the
-    // service skips key construction entirely via enabled().
     if (!enabled()) return std::nullopt;
-    Shard& s = shard_of(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(key);
-    if (it == s.map.end()) {
-      s.misses.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++misses_;
       if (misses_metric_ != nullptr) misses_metric_->inc();
       return std::nullopt;
     }
-    s.lru.splice(s.lru.begin(), s.lru, it->second);  // mark most-recent
-    s.hits.fetch_add(1, std::memory_order_relaxed);
+    lru_.splice(lru_.begin(), lru_, it->second);  // mark most-recent
+    ++hits_;
     if (hits_metric_ != nullptr) hits_metric_->inc();
     return it->second->second;
   }
 
   void put(const Key& key, Value value) {
     if (!enabled()) return;
-    Shard& s = shard_of(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    put_locked(s, key, std::move(value));
-  }
-
-  /// Bulk probe for the batch fast path: for each i in [0, n), look up
-  /// keys[i]; on a hit, copy the value into out[i] and set hit[i] = 1
-  /// (out/hit slots of misses are left untouched).  Probes are bucketed by
-  /// shard so each touched shard's mutex is taken exactly once; hit/miss
-  /// accounting matches n individual get() calls (recency updates included).
-  void get_many(const Key* keys, std::size_t n, Value* out,
-                unsigned char* hit) {
-    if (n == 0 || !enabled()) return;
-    std::vector<std::uint32_t> order;
-    std::vector<std::uint32_t> bounds;
-    bucket_by_shard(keys, nullptr, n, order, bounds);
-    for (std::size_t sh = 0; sh < shards_.size(); ++sh) {
-      if (bounds[sh] == bounds[sh + 1]) continue;
-      Shard& s = shards_[sh];
-      std::uint64_t sh_hits = 0, sh_misses = 0;
-      {
-        std::lock_guard<std::mutex> lock(s.mu);
-        for (std::uint32_t r = bounds[sh]; r < bounds[sh + 1]; ++r) {
-          const std::uint32_t i = order[r];
-          auto it = s.map.find(keys[i]);
-          if (it == s.map.end()) {
-            ++sh_misses;
-            continue;
-          }
-          s.lru.splice(s.lru.begin(), s.lru, it->second);
-          out[i] = it->second->second;
-          hit[i] = 1;
-          ++sh_hits;
-        }
-      }
-      s.hits.fetch_add(sh_hits, std::memory_order_relaxed);
-      s.misses.fetch_add(sh_misses, std::memory_order_relaxed);
-      if (hits_metric_ != nullptr && sh_hits > 0) hits_metric_->inc(sh_hits);
-      if (misses_metric_ != nullptr && sh_misses > 0)
-        misses_metric_->inc(sh_misses);
-    }
-  }
-
-  /// Bulk insert for the batch fast path: stores (keys[sel[j]],
-  /// values[sel[j]]) for j in [0, m), one mutex acquisition per touched
-  /// shard.  Same admission/eviction behavior as m individual put() calls.
-  void put_many(const Key* keys, const Value* values, const std::uint32_t* sel,
-                std::size_t m) {
-    if (m == 0 || !enabled()) return;
-    std::vector<std::uint32_t> order;
-    std::vector<std::uint32_t> bounds;
-    bucket_by_shard(keys, sel, m, order, bounds);
-    for (std::size_t sh = 0; sh < shards_.size(); ++sh) {
-      if (bounds[sh] == bounds[sh + 1]) continue;
-      Shard& s = shards_[sh];
-      std::lock_guard<std::mutex> lock(s.mu);
-      for (std::uint32_t r = bounds[sh]; r < bounds[sh + 1]; ++r) {
-        const std::uint32_t i = order[r];
-        put_locked(s, keys[i], values[i]);
-      }
-    }
-  }
-
-  CacheStats stats() const {
-    CacheStats out;
-    for (const Shard& s : shards_) {
-      out.hits += s.hits.load(std::memory_order_relaxed);
-      out.misses += s.misses.load(std::memory_order_relaxed);
-      out.evictions += s.evictions.load(std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(s.mu);
-      out.entries += s.map.size();
-    }
-    return out;
-  }
-
-  void clear() {
-    for (Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.map.clear();
-      s.lru.clear();
-    }
-  }
-
-  std::size_t num_shards() const { return shards_.size(); }
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<std::pair<Key, Value>> lru;  // front = most recently used
-    std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
-                       Hash>
-        map;
-    std::atomic<std::uint64_t> hits{0}, misses{0}, evictions{0};
-  };
-
-  std::size_t shard_index(const Key& key) const {
-    // Route on the high bits: unordered_map buckets consume the low ones.
-    const std::size_t h = Hash{}(key);
-    return (h >> 16) % shards_.size();
-  }
-
-  Shard& shard_of(const Key& key) { return shards_[shard_index(key)]; }
-
-  void put_locked(Shard& s, const Key& key, Value value) {
-    auto it = s.map.find(key);
-    if (it != s.map.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
       it->second->second = std::move(value);
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    s.lru.emplace_front(key, std::move(value));
-    s.map.emplace(key, s.lru.begin());
-    if (s.map.size() > per_shard_capacity_) {
-      s.map.erase(s.lru.back().first);
-      s.lru.pop_back();
-      s.evictions.fetch_add(1, std::memory_order_relaxed);
+    lru_.emplace_front(key, std::move(value));
+    map_.emplace(key, lru_.begin());
+    if (map_.size() > capacity_) {
+      map_.erase(lru_.back().first);
+      lru_.pop_back();
+      ++evictions_;
       if (evictions_metric_ != nullptr) evictions_metric_->inc();
     }
   }
 
-  /// Counting-sort the probe indices (sel, or the identity when sel is
-  /// null) by shard id: order[] comes out grouped, bounds[] marks the
-  /// per-shard runs.  Probe order within a shard stays the batch order.
-  void bucket_by_shard(const Key* keys, const std::uint32_t* sel,
-                       std::size_t m, std::vector<std::uint32_t>& order,
-                       std::vector<std::uint32_t>& bounds) const {
-    const std::size_t S = shards_.size();
-    std::vector<std::uint32_t> sid(m);
-    bounds.assign(S + 1, 0);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint32_t i = sel ? sel[j] : static_cast<std::uint32_t>(j);
-      sid[j] = static_cast<std::uint32_t>(shard_index(keys[i]));
-      ++bounds[sid[j] + 1];
-    }
-    for (std::size_t sh = 0; sh < S; ++sh) bounds[sh + 1] += bounds[sh];
-    order.resize(m);
-    std::vector<std::uint32_t> cursor(bounds.begin(), bounds.end() - 1);
-    for (std::size_t j = 0; j < m; ++j)
-      order[cursor[sid[j]]++] = sel ? sel[j] : static_cast<std::uint32_t>(j);
+  CacheStats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return {hits_, misses_, evictions_, map_.size()};
   }
 
-  std::vector<Shard> shards_;
-  std::size_t per_shard_capacity_ = 0;
+ private:
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  std::list<std::pair<Key, Value>> lru_;  // front = most recently used
+  std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
+                     Hash>
+      map_;
+  std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
   Counter* hits_metric_ = nullptr;
   Counter* misses_metric_ = nullptr;
   Counter* evictions_metric_ = nullptr;

@@ -1,9 +1,9 @@
 // Backend abstraction and query routing for the serving layer.
 //
-// QueryService (service.hpp) owns worker threads and a result cache; neither
-// cares where answers come from.  IndexBackend is that seam: a thread-safe,
-// immutable answer source with the metadata the serving layer and the CLI
-// surfaces need.  Two implementations:
+// QueryService (service.hpp) owns worker threads and a still_mst cache;
+// neither cares where answers come from.  IndexBackend is that seam: a
+// thread-safe, immutable answer source with the metadata the serving layer
+// and the CLI surfaces need.  Two implementations:
 //   - MonolithicBackend — adapts the single-host SensitivityIndex;
 //   - QueryRouter — serves the same four-query API over a
 //     ShardedSensitivityIndex: point queries resolve by endpoint-map lookup
@@ -33,7 +33,7 @@ class IndexBackend {
  public:
   virtual ~IndexBackend() = default;
 
-  /// Evaluate one query (pure; the service adds caching on top).
+  /// Evaluate one query (pure; the service caches only still_mst answers).
   virtual Answer answer(const Query& q) const = 0;
 
   virtual std::size_t n() const = 0;
@@ -45,8 +45,8 @@ class IndexBackend {
   virtual std::size_t num_shards() const = 0;
 
   /// Strictly increasing update counter; constant 0 for immutable snapshot
-  /// backends.  The service uses it to revalidate cache inserts: an answer
-  /// is cached only if no update landed while it was being computed (the
+  /// backends.  The service uses it to revalidate still_mst cache inserts:
+  /// an answer is cached only if no update landed while it was computed (the
   /// fingerprint alone is not enough — an update plus a revert restores the
   /// fingerprint but not the moment in time).
   virtual std::uint64_t generation() const { return 0; }
@@ -57,16 +57,17 @@ class IndexBackend {
   /// never affects answers.  Must be callable without taking backend locks.
   virtual std::size_t shard_hint(const Query&) const { return 0; }
 
-  /// Does this backend answer a whole shard-run of queries more cheaply than
-  /// a per-query loop?  Remote backends (net/client.hpp) say yes: the batch
-  /// fast path then issues one answer_many() per counting-sorted shard-run —
-  /// one RPC per shard instead of one per query.  In-process backends keep
-  /// the default and the batch path never deviates from its per-query loop.
+  /// Should a batch be cut into whole shard-runs?  Remote backends
+  /// (net/client.hpp) say yes: answer_batch then issues one answer_many()
+  /// per counting-sorted shard-run — one RPC per shard instead of one per
+  /// query.  In-process backends keep the default and get chunk_size slices
+  /// of the shard-sorted order instead, one answer_many() each.
   virtual bool batched_runs() const { return false; }
 
   /// Answer a run of queries (answers align by position, each byte-identical
-  /// to answer() of that query).  The default is the plain loop; remote
-  /// backends override it with a batched RPC.
+  /// to answer() of that query).  The default is the plain loop; the live
+  /// backends (update.hpp) override it to take their reader lock once per
+  /// run, remote backends to send one batched RPC.
   virtual std::vector<Answer> answer_many(const std::vector<Query>& qs) const {
     std::vector<Answer> out;
     out.reserve(qs.size());

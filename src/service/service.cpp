@@ -28,7 +28,7 @@ QueryService::QueryService(std::shared_ptr<const IndexBackend> backend,
                            ServiceOptions opts)
     : backend_(std::move(backend)),
       opts_(opts),
-      cache_(opts.cache_capacity, opts.cache_shards),
+      cache_(opts.cache_capacity),
       pool_(opts.threads) {
   MPCMST_ASSERT(backend_ != nullptr, "QueryService: null backend");
   if (opts_.chunk_size == 0) opts_.chunk_size = 1;
@@ -240,6 +240,11 @@ Answer QueryService::answer(const Query& q) {
   const auto kind = static_cast<std::size_t>(q.kind) % kNumQueryKinds;
   tm.queries[kind]->inc();
   ScopedLatency lat(*tm.query_latency[kind]);
+  return q.kind == QueryKind::kStillMst ? answer_cached(q)
+                                        : backend_->answer(q);
+}
+
+Answer QueryService::answer_cached(const Query& q) {
   if (!cache_.enabled()) return backend_->answer(q);
   const std::uint64_t generation = backend_->generation();
   const CacheKey key{backend_->fingerprint(), q};
@@ -264,108 +269,82 @@ std::vector<Answer> QueryService::answer_batch(
   tm.batch_size->record(n);
   ScopedLatency batch_lat(*tm.batch_latency);
 
-  // Snapshot the backend moment: the fingerprint keys every probe/insert of
-  // this batch, the generation gates the bulk insert (same protocol as the
-  // single-query path — an update mid-batch simply skips the insert).
-  const std::uint64_t generation = backend_->generation();
-  const std::uint64_t fingerprint = backend_->fingerprint();
-
-  // --- bulk cache probe: one lock per touched cache shard ---
-  // Per-kind totals ride the key-construction pass (a local array, flushed
-  // as one striped add per kind) so the warm path never re-walks the batch.
+  // Counting-sort into buckets: one per backend shard hint, then one last
+  // bucket for still_mst (the only cached kind).  Per-kind totals ride the
+  // same pass, flushed as one striped add per kind.
+  const std::size_t num_hints =
+      std::max<std::size_t>(backend_->num_shards(), 1);
+  const std::size_t cached_bucket = num_hints;
   std::array<std::uint64_t, kNumQueryKinds> kind_counts{};
-  std::vector<unsigned char> hit(n, 0);
-  std::vector<CacheKey> keys;
-  if (cache_.enabled()) {
-    keys.reserve(n);
-    for (const Query& q : queries) {
-      ++kind_counts[static_cast<std::size_t>(q.kind) % kNumQueryKinds];
-      keys.push_back(CacheKey{fingerprint, q});
-    }
-    cache_.get_many(keys.data(), n, out.data(), hit.data());
-  } else {
-    for (const Query& q : queries)
-      ++kind_counts[static_cast<std::size_t>(q.kind) % kNumQueryKinds];
+  std::vector<std::uint32_t> bounds(num_hints + 2, 0);
+  std::vector<std::uint32_t> bucket(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Query& q = queries[i];
+    ++kind_counts[static_cast<std::size_t>(q.kind) % kNumQueryKinds];
+    std::size_t b = 0;
+    if (q.kind == QueryKind::kStillMst)
+      b = cached_bucket;
+    else if (num_hints > 1)
+      b = backend_->shard_hint(q);
+    bucket[i] = static_cast<std::uint32_t>(b);
+    ++bounds[b + 1];
   }
   for (std::size_t k = 0; k < kNumQueryKinds; ++k)
     if (kind_counts[k] > 0) tm.queries[k]->inc(kind_counts[k]);
-
-  // --- misses, counting-sorted into backend-shard runs ---
-  const std::size_t num_hints =
-      std::max<std::size_t>(backend_->num_shards(), 1);
-  std::vector<std::uint32_t> miss;
-  std::vector<std::uint32_t> run_bounds;  // batched backends: shard-run fence
-  miss.reserve(n);
-  if (num_hints == 1) {
+  for (std::size_t b = 0; b <= num_hints; ++b) bounds[b + 1] += bounds[b];
+  std::vector<std::uint32_t> order(n);
+  {
+    std::vector<std::uint32_t> cursor(bounds.begin(), bounds.end() - 1);
     for (std::size_t i = 0; i < n; ++i)
-      if (!hit[i]) miss.push_back(static_cast<std::uint32_t>(i));
+      order[cursor[bucket[i]]++] = static_cast<std::uint32_t>(i);
+  }
+
+  // Cut the runs.  Batched (remote) backends get whole shard-runs — one RPC
+  // each; in-process backends get chunk_size slices of the shard-sorted
+  // order, so each pool task stays inside (at most two) shards' working sets
+  // and takes the backend's reader lock once.  Each still_mst is its own
+  // run: milliseconds of certificate work apiece.
+  const std::size_t cached_lo = bounds[cached_bucket];
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  if (backend_->batched_runs()) {
+    for (std::size_t b = 0; b < num_hints; ++b)
+      if (bounds[b + 1] > bounds[b])
+        runs.emplace_back(bounds[b], bounds[b + 1]);
   } else {
-    std::vector<std::uint32_t> counts(num_hints + 1, 0);
-    std::vector<std::uint32_t> hint(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (hit[i]) continue;
-      hint[i] = static_cast<std::uint32_t>(backend_->shard_hint(queries[i]));
-      ++counts[hint[i] + 1];
+    for (std::size_t lo = 0; lo < cached_lo;) {
+      const std::size_t hi = lo + std::min(opts_.chunk_size, cached_lo - lo);
+      runs.emplace_back(lo, hi);
+      lo = hi;
     }
-    for (std::size_t s = 0; s < num_hints; ++s) counts[s + 1] += counts[s];
-    miss.resize(counts[num_hints]);
-    std::vector<std::uint32_t> cursor(counts.begin(), counts.end() - 1);
-    for (std::size_t i = 0; i < n; ++i)
-      if (!hit[i]) miss[cursor[hint[i]]++] = static_cast<std::uint32_t>(i);
-    if (backend_->batched_runs()) run_bounds = std::move(counts);
   }
+  for (std::size_t r = cached_lo; r < n; ++r) runs.emplace_back(r, r + 1);
 
-  if (!miss.empty() && backend_->batched_runs()) {
-    // Remote backend: one answer_many() — one RPC — per shard-run, the runs
-    // answered concurrently on the pool.  Answers stay byte-identical to the
-    // per-query loop; only the transport batching differs.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
-    if (run_bounds.empty()) {
-      runs.emplace_back(0, static_cast<std::uint32_t>(miss.size()));
-    } else {
-      for (std::size_t s = 0; s + 1 < run_bounds.size(); ++s)
-        if (run_bounds[s + 1] > run_bounds[s])
-          runs.emplace_back(run_bounds[s], run_bounds[s + 1]);
+  // Telemetry once per run: its per-query mean, recorded once per kind with
+  // that kind's count, so histogram counts still equal queries answered.
+  // The enabled check is hoisted so a disabled registry costs nothing.
+  const bool timed = metrics_enabled();
+  pool_.run_tasks(runs.size(), [&](std::size_t t) {
+    const auto [lo, hi] = runs[t];
+    const std::uint64_t t0 = timed ? metrics_now_ns() : 0;
+    std::array<std::uint64_t, kNumQueryKinds> run_kinds{};
+    std::vector<Query> qs;
+    qs.reserve(hi - lo);
+    for (std::size_t r = lo; r < hi; ++r) {
+      qs.push_back(queries[order[r]]);
+      ++run_kinds[static_cast<std::size_t>(qs.back().kind) % kNumQueryKinds];
     }
-    pool_.run_tasks(runs.size(), [&](std::size_t t) {
-      const auto [lo, hi] = runs[t];
-      std::vector<Query> qs;
-      qs.reserve(hi - lo);
-      for (std::uint32_t r = lo; r < hi; ++r) qs.push_back(queries[miss[r]]);
+    if (lo >= cached_lo) {
+      out[order[lo]] = answer_cached(qs.front());
+    } else {
       std::vector<Answer> ans = backend_->answer_many(qs);
-      for (std::uint32_t r = lo; r < hi; ++r)
-        out[miss[r]] = std::move(ans[r - lo]);
-    });
-    if (cache_.enabled() && backend_->generation() == generation)
-      cache_.put_many(keys.data(), out.data(), miss.data(), miss.size());
-  } else if (!miss.empty()) {
-    // Shard-runs are contiguous in `miss`; chunking the sorted order keeps
-    // each pool task inside (at most two) shards' working sets.
-    const std::size_t chunk = opts_.chunk_size;
-    const std::size_t num_chunks = (miss.size() + chunk - 1) / chunk;
-    // Per-query latency is only clocked on misses (hits are bulk-accounted
-    // above); the enabled check is hoisted so a disabled registry costs the
-    // batch nothing.
-    const bool timed = metrics_enabled();
-    pool_.run_tasks(num_chunks, [&](std::size_t c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(lo + chunk, miss.size());
-      for (std::size_t r = lo; r < hi; ++r) {
-        const Query& q = queries[miss[r]];
-        if (timed) {
-          const std::uint64_t t0 = metrics_now_ns();
-          out[miss[r]] = backend_->answer(q);
-          tm.query_latency[static_cast<std::size_t>(q.kind) % kNumQueryKinds]
-              ->record(metrics_now_ns() - t0);
-        } else {
-          out[miss[r]] = backend_->answer(q);
-        }
-      }
-    });
-    // --- bulk insert, gated on the generation exactly like answer() ---
-    if (cache_.enabled() && backend_->generation() == generation)
-      cache_.put_many(keys.data(), out.data(), miss.data(), miss.size());
-  }
+      for (std::size_t r = lo; r < hi; ++r)
+        out[order[r]] = std::move(ans[r - lo]);
+    }
+    if (!timed) return;
+    const std::uint64_t mean = (metrics_now_ns() - t0) / (hi - lo);
+    for (std::size_t k = 0; k < kNumQueryKinds; ++k)
+      tm.query_latency[k]->record_n(mean, run_kinds[k]);
+  });
   return out;
 }
 

@@ -1,13 +1,13 @@
 // QueryService: the serve-many half of the sensitivity engine.
 //
 // Owns a shared immutable IndexBackend (monolithic snapshot or sharded
-// router — the pool and cache are agnostic), a thread pool, and a sharded
-// LRU result cache keyed by (graph fingerprint, canonical query).  Single
-// queries are answered inline (cache-first).  Batches take a fast path: one
-// bulk cache probe (one lock per cache shard, not per query), misses sorted
-// into backend-shard runs and answered in parallel on the pool, then one
-// bulk insert — so a warm batch never takes the LRU lock per query and a
-// cold batch keeps each worker inside one shard's working set.
+// router — the pool is agnostic), a thread pool, and an LRU cache of
+// still_mst answers keyed by (graph fingerprint, canonical query).  Point
+// queries and top-k are answered straight from the labels: the precomputed
+// index makes each one O(1)-ish host work, cheaper than any cache probe.
+// Batches are counting-sorted into backend-shard runs and each run is
+// answered with one IndexBackend::answer_many() on the pool — one reader
+// lock per run on the live backends, one RPC per shard-run on remote ones.
 #pragma once
 
 #include <atomic>
@@ -31,9 +31,8 @@ struct ServiceOptions {
   /// Total concurrency for batched queries (including the calling thread);
   /// 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Total cached answers across shards; 0 disables the cache.
+  /// Cached still_mst answers; 0 disables the cache.
   std::size_t cache_capacity = 1 << 16;
-  std::size_t cache_shards = 16;
   /// Batch entries per worker task (tune against per-task overhead).
   std::size_t chunk_size = 256;
 };
@@ -112,15 +111,17 @@ class QueryService {
   /// the result answers byte-identically to a tier that never crashed.
   static std::unique_ptr<QueryService> open(const ServiceConfig& cfg);
 
-  /// Answer one query through the cache, inline on the calling thread.
+  /// Answer one query inline on the calling thread (still_mst through the
+  /// cache, every other kind straight from the backend).
   Answer answer(const Query& q);
 
   /// Answer a batch; answers align with queries by position, and each one is
   /// byte-identical to what answer() would have returned for that query.
-  /// Fast path: one bulk cache probe, misses counting-sorted by
-  /// backend().shard_hint() and answered as parallel shard-runs, one bulk
-  /// insert (skipped when an update landed mid-batch, exactly like the
-  /// single-query generation check).
+  /// Queries are counting-sorted by backend().shard_hint() and cut into
+  /// runs — whole shard-runs when backend().batched_runs(), chunk_size
+  /// slices of the sorted order otherwise — each answered by one
+  /// answer_many() on the pool.  still_mst entries run one per task through
+  /// the same cache as answer().
   std::vector<Answer> answer_batch(const std::vector<Query>& queries);
 
   // Typed shorthands for the five query families.
@@ -145,8 +146,8 @@ class QueryService {
   UpdatableBackend* updatable_backend() { return updatable_.get(); }
 
   /// Absorb one confirmed change (asserts updatable()).  The backend rotates
-  /// its fingerprint, so cached answers of the previous generation can never
-  /// be served for the new one — they simply stop matching and age out.
+  /// its fingerprint, so cached still_mst answers of the previous generation
+  /// can never be served for the new one — they stop matching and age out.
   UpdateReceipt apply_update(Vertex u, Vertex v, Weight new_w);
 
   /// Insert a brand-new edge / delete an existing one (asserts updatable();
@@ -170,8 +171,8 @@ class QueryService {
   struct Stats {
     std::uint64_t queries_served = 0;  // this service instance
     std::uint64_t generation = 0;      // backend generation at snapshot time
-    CacheStats cache;                  // this instance's cache (incl.
-                                       // evictions, surfaced end-to-end)
+    CacheStats cache;                  // this instance's still_mst cache
+                                       // (incl. evictions)
     TelemetrySnapshot telemetry;       // process-wide registry slice
   };
   Stats stats() const;
@@ -196,10 +197,13 @@ class QueryService {
     }
   };
 
+  /// still_mst through the cache, gated on the generation (see answer()).
+  Answer answer_cached(const Query& q);
+
   std::shared_ptr<const IndexBackend> backend_;
   std::shared_ptr<UpdatableBackend> updatable_;  // same object, if updatable
   ServiceOptions opts_;
-  ShardedLruCache<CacheKey, Answer, CacheKeyHash> cache_;
+  LruCache<CacheKey, Answer, CacheKeyHash> cache_;
   std::atomic<std::uint64_t> served_{0};
   ThreadPool pool_;
 };

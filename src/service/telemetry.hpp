@@ -43,7 +43,7 @@ struct ServiceMetrics {
   Histogram* batch_size;     // queries per answer_batch call (kCount)
   Histogram* batch_latency;  // whole-batch wall time
 
-  // Result cache (fed by ShardedLruCache via set_metric_counters).
+  // still_mst result cache (fed by LruCache via set_metric_counters).
   Counter* cache_hits;
   Counter* cache_misses;
   Counter* cache_evictions;

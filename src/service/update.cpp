@@ -959,6 +959,16 @@ Answer LiveMonolithBackend::answer(const Query& q) const {
   return answer_query(core_.index(), q);
 }
 
+std::vector<Answer> LiveMonolithBackend::answer_many(
+    const std::vector<Query>& qs) const {
+  check_not_poisoned();
+  std::shared_lock lock(mu_);
+  std::vector<Answer> out;
+  out.reserve(qs.size());
+  for (const Query& q : qs) out.push_back(answer_query(core_.index(), q));
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // LiveShardedBackend
 
@@ -996,6 +1006,16 @@ Answer LiveShardedBackend::answer(const Query& q) const {
   check_not_poisoned();
   std::shared_lock lock(mu_);
   return route_query(shards_, q);
+}
+
+std::vector<Answer> LiveShardedBackend::answer_many(
+    const std::vector<Query>& qs) const {
+  check_not_poisoned();
+  std::shared_lock lock(mu_);
+  std::vector<Answer> out;
+  out.reserve(qs.size());
+  for (const Query& q : qs) out.push_back(route_query(shards_, q));
+  return out;
 }
 
 std::size_t LiveShardedBackend::num_shards() const {

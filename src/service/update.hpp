@@ -392,6 +392,8 @@ class LiveMonolithBackend final : public LiveBackend {
                                                     const graph::Instance& i);
 
   Answer answer(const Query& q) const override;
+  /// One poison check and one reader-lock acquisition for the whole run.
+  std::vector<Answer> answer_many(const std::vector<Query>& qs) const override;
   std::size_t num_shards() const override { return 1; }
 
  private:
@@ -422,6 +424,8 @@ class LiveShardedBackend final : public LiveBackend {
                                                    std::size_t num_shards);
 
   Answer answer(const Query& q) const override;
+  /// One poison check and one reader-lock acquisition for the whole run.
+  std::vector<Answer> answer_many(const std::vector<Query>& qs) const override;
   std::size_t num_shards() const override;
   /// Partition arithmetic only (the vertex ranges never move, even across
   /// updates), so no lock — required: the batch fast path calls this while

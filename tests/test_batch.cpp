@@ -1,9 +1,10 @@
-// Tests for the answer_batch fast path (bulk cache probe + shard-run
-// parallel evaluation + bulk insert): randomized oracle agreement against
-// per-query answers on the monolith and shard counts {1, 3, 8}, duplicate
-// queries inside one batch, the empty batch, and batches racing / spanning
-// an apply_update.  The Debug CI jobs run all of this under ASan/UBSan —
-// the bulk cache paths and the pool's cursor are what they watch.
+// Tests for the answer_batch fast path (shard-sorted runs answered in
+// parallel, still_mst through the generation-gated cache): randomized oracle
+// agreement against per-query answers on the monolith and shard counts
+// {1, 3, 8}, duplicate queries inside one batch, the empty batch, and
+// batches racing / spanning an apply_update.  The Debug CI jobs run all of
+// this under ASan/UBSan — the run cutting and the pool's cursor are what
+// they watch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,7 @@ g::Instance make_instance(std::size_t n, std::uint64_t seed) {
   return g::make_mst_instance(std::move(tree), 3 * n, seed + 2, 6);
 }
 
-/// Mixed workload over all four query families, intentionally including
+/// Mixed workload over all five query families, intentionally including
 /// out-of-range endpoints (kUnknownEdge answers must survive the fast path).
 std::vector<svc::Query> make_workload(const g::Instance& inst,
                                       std::size_t count, std::uint64_t seed) {
@@ -38,7 +39,7 @@ std::vector<svc::Query> make_workload(const g::Instance& inst,
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto c = static_cast<g::Vertex>(pick(rng));
-    switch (i % 6) {
+    switch (i % 7) {
       case 0:
         out.push_back(
             svc::Query::price_change(c, inst.tree.parent[c], delta(rng)));
@@ -57,6 +58,14 @@ std::vector<svc::Query> make_workload(const g::Instance& inst,
       case 4:
         out.push_back(svc::Query::corridor_headroom(c, inst.tree.parent[c]));
         break;
+      case 5: {
+        // A two-change scenario: one tree edge, one non-tree edge.
+        const g::WEdge& e = inst.nontree[nontree_pick(rng)];
+        out.push_back(svc::Query::still_mst(
+            {{c, inst.tree.parent[c], inst.tree.weight[c] + delta(rng)},
+             {e.u, e.v, e.w + delta(rng)}}));
+        break;
+      }
       default:
         // Unknown edges: both endpoints valid but (almost surely) not
         // adjacent, plus occasional out-of-range vertices.
@@ -76,6 +85,11 @@ TEST(Batch, AgreesWithPerQueryAcrossBackends) {
   // Reference answers from a pool-of-1, cache-off service.
   svc::QueryService reference(index, {.threads = 1, .cache_capacity = 0});
   const auto workload = make_workload(inst, 5000, 1013);
+  const auto num_scenarios = static_cast<std::uint64_t>(
+      std::count_if(workload.begin(), workload.end(), [](const auto& q) {
+        return q.kind == svc::QueryKind::kStillMst;
+      }));
+  ASSERT_GT(num_scenarios, 0u);
   std::vector<svc::Answer> expected;
   expected.reserve(workload.size());
   for (const auto& q : workload) expected.push_back(reference.answer(q));
@@ -92,15 +106,15 @@ TEST(Batch, AgreesWithPerQueryAcrossBackends) {
           svc::ShardedSensitivityIndex::split(*index, shards));
     }
     svc::QueryService service(backend, {.threads = 4, .chunk_size = 64});
-    // Cold batch (all misses), then warm batch (all hits) — both must equal
-    // the per-query reference byte for byte.
+    // Cold batch (still_mst all misses), then warm batch (still_mst all
+    // hits) — both must equal the per-query reference byte for byte.
     const auto cold = service.answer_batch(workload);
     ASSERT_EQ(cold.size(), workload.size());
     for (std::size_t i = 0; i < workload.size(); ++i)
       ASSERT_EQ(cold[i], expected[i]) << i << ": " << to_string(workload[i]);
     const auto warm = service.answer_batch(workload);
     EXPECT_EQ(warm, cold);
-    EXPECT_GE(service.stats().cache.hits, workload.size());
+    EXPECT_GE(service.stats().cache.hits, num_scenarios);
   }
 }
 

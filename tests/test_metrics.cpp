@@ -188,6 +188,31 @@ TEST(MetricsRegistry, HistogramExactAcrossStripeMerge) {
   EXPECT_GE(after.max, static_cast<std::uint64_t>(kThreads));
 }
 
+TEST(MetricsRegistry, RecordNMatchesRepeatedRecord) {
+  if constexpr (mpcmst::kMetricsCompiledOut)
+    GTEST_SKIP() << "MPCMST_NO_METRICS";
+  mpcmst::metrics_set_enabled(true);
+  auto& reg = MetricsRegistry::instance();
+  auto& bulk = reg.histogram("test_record_n_bulk_ns");
+  auto& loop = reg.histogram("test_record_n_loop_ns");
+  // Values on and between bucket boundaries, and a zero count (a no-op).
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> samples = {
+      {0, 3}, {1, 5}, {7, 0}, {8, 11}, {1000, 97}, {1u << 20, 2}};
+  for (const auto& [v, n] : samples) {
+    bulk.record_n(v, n);
+    for (std::uint64_t i = 0; i < n; ++i) loop.record(v);
+  }
+  const auto a = bulk.snapshot();
+  const auto b = loop.snapshot();
+  EXPECT_EQ(a.count, 3u + 5u + 11u + 97u + 2u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.buckets, b.buckets);
+  for (const double p : {0.0, 0.5, 0.9, 0.99, 1.0})
+    EXPECT_EQ(a.percentile(p), b.percentile(p)) << p;
+}
+
 TEST(MetricsRegistry, RuntimeDisableStopsMutations) {
   if constexpr (mpcmst::kMetricsCompiledOut)
     GTEST_SKIP() << "MPCMST_NO_METRICS";
@@ -333,20 +358,26 @@ TEST(Telemetry, MixedWorkloadMovesEverySeries) {
   svc::PersistenceConfig persist;
   persist.dir = dir.str();
   persist.sync_mode = svc::SyncMode::kCommit;  // every commit fsyncs
-  // A 4-entry cache over ~250 distinct probes: evictions are certain.
+  // A 4-entry cache over ~40 distinct scenarios: evictions are certain.
   svc::ServiceOptions opts;
   opts.threads = 2;
   opts.cache_capacity = 4;
-  opts.cache_shards = 2;
   auto service = svc::QueryService::open(
       {.engine = &eng, .instance = &inst, .live = true, .persist = persist,
        .options = opts});
 
-  // Batched queries across all four kinds (cold), then again (some hits
-  // survive even in a 4-entry cache: the probe tail stays resident).
-  const auto probes = mpcmst::test::probe_queries(inst);
+  // Batched queries across all five kinds (cold), then the last two
+  // scenarios again: they hit even in a 4-entry cache (scenarios are
+  // claimed in order, and a straggling worker can evict at most one of the
+  // last three inserted).
+  auto probes = mpcmst::test::probe_queries(inst);
+  for (std::size_t v = 0; v < inst.n(); ++v)
+    if (static_cast<g::Vertex>(v) != inst.tree.root)
+      probes.push_back(svc::Query::still_mst(
+          {{static_cast<g::Vertex>(v), inst.tree.parent[v],
+            inst.tree.weight[v] + 1}}));
   service->answer_batch(probes);
-  service->answer_batch({probes.end() - 4, probes.end()});
+  service->answer_batch({probes.end() - 2, probes.end()});
   service->top_k_fragile(3);  // single-query path too
 
   // One update of every class, probed through the live backend so each
@@ -447,7 +478,7 @@ TEST(Telemetry, MixedWorkloadMovesEverySeries) {
       hist_count_delta(before, after, "mpcmst_query_batch_latency_seconds"),
       0u);
 
-  // Cache traffic, including evictions (4-entry cache, ~250 probes).
+  // Cache traffic, including evictions (4-entry cache, ~40 scenarios).
   EXPECT_GT(counter_delta(before, after, "mpcmst_cache_hits_total"), 0u);
   EXPECT_GT(counter_delta(before, after, "mpcmst_cache_misses_total"), 0u);
   EXPECT_GT(counter_delta(before, after, "mpcmst_cache_evictions_total"), 0u);

@@ -230,13 +230,13 @@ TEST(NetLeader, ShardRestartHealsViaRebootstrap) {
 
   const std::uint64_t reboots_before =
       net::net_counter("shard_rebootstraps").total();
-  // Same-generation parity still holds (the leader's cache keeps serving
-  // the unchanged epoch while the slice is gone).
+  // Same-generation parity holds across the restart: point reads always
+  // cross the wire, so the leader hits the empty server, suspects the tier,
+  // and re-bootstraps the lost slice from its authoritative core — the
+  // batch then answers correctly.
   expect_parity(*local, *leader, inst, "post-restart");
 
-  // An uncached fan-out query must cross the wire: the leader hits the
-  // empty server, suspects the tier, and re-bootstraps the lost slice from
-  // its authoritative core — the query then answers correctly.
+  // A fan-out query answers correctly too, and the re-bootstrap is counted.
   const svc::Query fresh = svc::Query::top_k_fragile(2);
   EXPECT_EQ(leader->answer(fresh), local->answer(fresh));
   if (mpcmst::metrics_enabled()) {

@@ -2,7 +2,7 @@
 // against the sequential oracles, replacement-edge correctness, Definition
 // 1.2 tie semantics end-to-end (mutate + re-verify), randomized agreement
 // across generator families (incl. duplicate weights and partial cover),
-// cache behavior, and batched concurrency.
+// still_mst cache behavior, and batched concurrency.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -391,14 +391,15 @@ TEST(Service, CacheHitsRepeatAnswersExactly) {
   const auto inst = g::make_mst_instance(tree, 300, 25, 5);
   svc::QueryService service(build_index(inst),
                             {.threads = 2, .cache_capacity = 1024});
-  const auto first = service.corridor_headroom(inst.nontree[0].u,
-                                               inst.nontree[0].v);
-  const auto second = service.corridor_headroom(inst.nontree[0].u,
-                                                inst.nontree[0].v);
+  const g::WEdge& e = inst.nontree[0];
+  const g::Vertex c = inst.tree.root == 1 ? 2 : 1;
+  const g::Vertex p = inst.tree.parent[c];
+  const auto first = service.still_mst({{e.u, e.v, 1}, {c, p, 40}});
+  const auto second = service.still_mst({{e.u, e.v, 1}, {c, p, 40}});
   EXPECT_EQ(first, second);
-  // Order-insensitive canonicalization: the flipped query hits too.
-  const auto flipped = service.corridor_headroom(inst.nontree[0].v,
-                                                 inst.nontree[0].u);
+  // Order-insensitive canonicalization: the flipped, permuted scenario hits
+  // too.
+  const auto flipped = service.still_mst({{p, c, 40}, {e.v, e.u, 1}});
   EXPECT_EQ(first, flipped);
   const auto stats = service.stats();
   EXPECT_EQ(stats.queries_served, 3u);
@@ -407,19 +408,37 @@ TEST(Service, CacheHitsRepeatAnswersExactly) {
   // A cache-disabled service answers identically.
   svc::QueryService uncached(build_index(inst),
                              {.threads = 1, .cache_capacity = 0});
-  EXPECT_EQ(uncached.corridor_headroom(inst.nontree[0].u, inst.nontree[0].v),
-            first);
+  EXPECT_EQ(uncached.still_mst({{e.u, e.v, 1}, {c, p, 40}}), first);
   EXPECT_EQ(uncached.stats().cache.hits, 0u);
 }
 
+TEST(Service, PointQueriesBypassTheCache) {
+  auto tree = g::random_recursive_tree(150, 33);
+  g::assign_random_tree_weights(tree, 1, 40, 35);
+  const auto inst = g::make_mst_instance(tree, 450, 37, 6);
+  svc::QueryService service(build_index(inst),
+                            {.threads = 4, .chunk_size = 16});
+  const auto queries = mpcmst::test::probe_queries(inst);
+  const auto before = service.stats().cache;
+  // Twice each: a cached kind would hit on the second pass.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& q : queries) (void)service.answer(q);
+    (void)service.answer_batch(queries);
+  }
+  const auto after = service.stats().cache;
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+  EXPECT_EQ(after.entries, 0u);
+  EXPECT_EQ(service.stats().queries_served, 4 * queries.size());
+}
+
 TEST(Service, LruEvictsAtCapacity) {
-  svc::ShardedLruCache<int, int> cache(4, 2);
+  svc::LruCache<int, int> cache(4);
   for (int i = 0; i < 16; ++i) cache.put(i, 10 * i);
   const auto stats = cache.stats();
   EXPECT_LE(stats.entries, 4u);
   EXPECT_GE(stats.evictions, 12u);
-  // Recency: a touched key survives an insertion into its shard.
-  svc::ShardedLruCache<int, int> one(2, 1);
+  // Recency: a touched key survives an insertion.
+  svc::LruCache<int, int> one(2);
   one.put(1, 11);
   one.put(2, 22);
   ASSERT_TRUE(one.get(1).has_value());  // 1 becomes most-recent
@@ -442,10 +461,15 @@ TEST(Service, ConcurrentBatchMatchesSequential) {
   std::uniform_int_distribution<g::Weight> delta(-20, 20);
   std::vector<svc::Query> queries;
   queries.reserve(8000);
+  std::uint64_t scenarios = 0;
   for (std::size_t i = 0; i < 8000; ++i) {
     const auto c = static_cast<g::Vertex>(pick(rng));
     if (c == inst.tree.root) {
       queries.push_back(svc::Query::top_k_fragile(5));
+    } else if (i % 16 == 15) {
+      queries.push_back(svc::Query::still_mst(
+          {{c, inst.tree.parent[c], inst.tree.weight[c] + delta(rng)}}));
+      ++scenarios;
     } else if (i % 3 == 0) {
       queries.push_back(
           svc::Query::price_change(c, inst.tree.parent[c], delta(rng)));
@@ -459,11 +483,11 @@ TEST(Service, ConcurrentBatchMatchesSequential) {
   ASSERT_EQ(par.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i)
     ASSERT_EQ(par[i], sequential.answer(queries[i])) << i;
-  // Re-serving the same batch is almost entirely cache hits.
+  // Re-serving the same batch serves every scenario from the cache.
   (void)parallel.answer_batch(queries);
   const auto stats = parallel.stats();
   EXPECT_EQ(stats.queries_served, 2 * queries.size());
-  EXPECT_GE(stats.cache.hits, queries.size());
+  EXPECT_GE(stats.cache.hits, scenarios);
 }
 
 TEST(Service, FingerprintAndReceipt) {

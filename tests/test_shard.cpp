@@ -324,9 +324,9 @@ TEST(Shard, NonMstInstanceAgreesOnViolations) {
 }
 
 TEST(Shard, ServiceOverRouterMatchesMonolithicService) {
-  // The full serving stack (worker pool + LRU cache) over a sharded backend
-  // against the monolithic service, under real batch concurrency — the merge
-  // and routing paths the sanitizer jobs watch.
+  // The full serving stack (worker pool + still_mst cache) over a sharded
+  // backend against the monolithic service, under real batch concurrency —
+  // the merge and routing paths the sanitizer jobs watch.
   auto tree = g::caterpillar_tree(300, 90, 443);
   g::assign_random_tree_weights(tree, 1, 60, 449);
   const auto inst = g::make_mst_instance(std::move(tree), 900, 457, 5);
@@ -346,9 +346,10 @@ TEST(Shard, ServiceOverRouterMatchesMonolithicService) {
   std::uniform_int_distribution<g::Weight> delta(-25, 25);
   std::vector<svc::Query> queries;
   queries.reserve(6000);
+  std::uint64_t scenarios = 0;
   for (std::size_t i = 0; i < 6000; ++i) {
     const auto c = static_cast<g::Vertex>(pick(rng));
-    switch (i % 5) {
+    switch (i % 6) {
       case 0:
         queries.push_back(
             svc::Query::price_change(c, inst.tree.parent[c], delta(rng)));
@@ -365,6 +366,14 @@ TEST(Shard, ServiceOverRouterMatchesMonolithicService) {
       case 3:
         queries.push_back(svc::Query::top_k_fragile(1 + (i % 13)));
         break;
+      case 4: {
+        const g::WEdge& e = inst.nontree[nontree_pick(rng)];
+        queries.push_back(svc::Query::still_mst(
+            {{c, inst.tree.parent[c], inst.tree.weight[c] + delta(rng)},
+             {e.u, e.v, e.w + delta(rng)}}));
+        ++scenarios;
+        break;
+      }
       default:
         queries.push_back(
             svc::Query::corridor_headroom(c, inst.tree.parent[c]));
@@ -375,9 +384,9 @@ TEST(Shard, ServiceOverRouterMatchesMonolithicService) {
   for (std::size_t i = 0; i < queries.size(); ++i)
     ASSERT_EQ(routed_answers[i], monolithic.answer(queries[i]))
         << i << ": " << to_string(queries[i]);
-  // Warm pass is served from the cache and stays identical.
+  // Warm pass serves every scenario from the cache and stays identical.
   EXPECT_EQ(routed.answer_batch(queries), routed_answers);
-  EXPECT_GE(routed.stats().cache.hits, queries.size());
+  EXPECT_GE(routed.stats().cache.hits, scenarios);
 }
 
 TEST(Shard, BuildShardedServiceEndToEnd) {

@@ -6,15 +6,16 @@
 // directions, and exact ties at the headroom edge.  The whole sequence runs
 // journaled (persistence attached to every backend), and every 50 steps each
 // tier is recovered from disk and held to the same oracle: fingerprint and
-// generation continuity plus byte-identical answers.  Plus: cache-generation
-// safety (a pre-update answer can never be served post-update; entries of a
-// byte-identical generation still hit), the sharded open() shard-count clamp
-// regression, epoch stamping, and concurrent queries during updates (the
-// paths the ASan/UBSan CI jobs watch).
+// generation continuity plus byte-identical answers.  Plus: still_mst
+// cache-generation safety (a pre-update answer can never be served post-
+// update; entries of a byte-identical generation still hit), the sharded
+// open() shard-count clamp regression, epoch stamping, and concurrent
+// queries during updates (the paths the ASan/UBSan CI jobs watch).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -262,24 +263,37 @@ TEST(Update, CacheGenerationSafety) {
        .options = {.threads = 2, .cache_capacity = 1 << 12}});
   ASSERT_TRUE(service->updatable());
 
-  // A covered tree edge with real headroom (sens >= 1), so a +1 reweight is
-  // a within-headroom patch that changes the answer of every query family
-  // below; k is chosen so the top-k answer contains the patched edge.
+  // A covered tree edge with real headroom (sens >= 1) that is a maximum of
+  // its replacement edge r's tree path (maxpath(r) == w), so a +1 reweight
+  // is a within-headroom patch that raises r's covering maximum: every
+  // scenario below that reprices r to at most w changes its answer.
   const auto order =
       service->top_k_fragile(static_cast<std::int64_t>(inst.n()));
   std::size_t rank = 0;
-  while (rank < order.fragile.size() &&
-         (order.fragile[rank].sens < 1 ||
-          order.fragile[rank].sens >= g::kPosInfW))
-    ++rank;
+  std::optional<svc::NonTreeEdgeInfo> r;
+  for (; rank < order.fragile.size(); ++rank) {
+    const svc::FragileEntry& f = order.fragile[rank];
+    if (f.sens < 1 || f.sens >= g::kPosInfW || f.replacement < 0) continue;
+    r = service->backend().nontree_info(f.replacement);
+    // r's endpoints must resolve to r itself (not a tree edge or a lighter
+    // duplicate), or the scenarios would reprice a different edge.
+    const auto ref = r ? service->backend().find(r->u, r->v) : std::nullopt;
+    if (r && r->maxpath == f.w && ref && !ref->is_tree &&
+        ref->id == f.replacement)
+      break;
+  }
   ASSERT_LT(rank, order.fragile.size());
   const g::Vertex c = order.fragile[rank].child;
   const g::Vertex p = order.fragile[rank].parent;
-  const std::int64_t k = static_cast<std::int64_t>(rank) + 1;
+  const g::Weight old_w = order.fragile[rank].w;
 
+  // Generation 0: r at old_w ties its maximum (no certificate), below it
+  // violates with maxpath old_w; generation 1 raises that maximum to old_w+1.
   const std::vector<svc::Query> kinds = {
-      svc::Query::price_change(c, p, 1), svc::Query::replacement_edge(c, p),
-      svc::Query::top_k_fragile(k), svc::Query::corridor_headroom(c, p)};
+      svc::Query::still_mst({{r->u, r->v, old_w}}),
+      svc::Query::still_mst({{r->u, r->v, old_w - 1}}),
+      svc::Query::still_mst({{r->v, r->u, old_w / 2}}),
+      svc::Query::still_mst({{r->u, r->v, 1}})};
 
   // Pre-warm generation 0: second pass must be all hits.
   std::vector<svc::Answer> gen0;
@@ -291,14 +305,13 @@ TEST(Update, CacheGenerationSafety) {
   EXPECT_EQ(warm1.hits - warm0.hits, kinds.size());
 
   // One confirmed reweight within headroom rotates the fingerprint.
-  const g::Weight old_w = order.fragile[rank].w;
   const auto receipt = service->apply_update(c, p, old_w + 1);
   ASSERT_EQ(receipt.report.cls, svc::UpdateClass::kTreeReweight);
   ASSERT_NE(receipt.old_fingerprint, receipt.new_fingerprint);
 
-  // No query of any kind may return its pre-update answer: every answer
-  // must match a fresh rebuild of the updated instance, and none may be
-  // served from the warmed generation-0 entries (all four miss).
+  // No scenario may return its pre-update answer: every answer must match
+  // a fresh rebuild of the updated instance, and none may be served from
+  // the warmed generation-0 entries (all four miss).
   const auto oracle_idx =
       fresh_build(service->updatable_backend()->instance_snapshot());
   const svc::MonolithicBackend oracle(oracle_idx);

@@ -475,9 +475,9 @@ TEST(LoopbackParity, FourShardTierMatchesInProcess) {
   expect_same_answers(*local, *leader, parity_queries(inst), "fresh");
 
   // A read-only remote attach sees the same tier.  Cache disabled: a
-  // cached read-only attach serves at the newest epoch it has *observed*
-  // (see make_remote_backend), which would make post-update parity depend
-  // on probe order; uncached, every answer crosses the wire.
+  // cached read-only attach serves still_mst at the newest epoch it has
+  // *observed* (see make_remote_backend), which would make post-update
+  // parity depend on probe order; uncached, every answer crosses the wire.
   svc::ServiceConfig ro_cfg;
   ro_cfg.remote_shards = endpoints;
   ro_cfg.options.cache_capacity = 0;
