@@ -21,42 +21,74 @@ namespace mpcmst::service::net {
 ShardConn::ShardConn(std::string endpoint, NetOptions opts)
     : endpoint_(std::move(endpoint)), opts_(opts) {}
 
-void ShardConn::invalidate() {
+void ShardConn::drop_pool(Socket& faulted) {
+  faulted.close();
   std::lock_guard lock(mu_);
-  sock_.close();
+  ++epoch_;
+  idle_.clear();
 }
 
-Frame ShardConn::call(MsgType t, const ByteWriter& body) {
-  std::lock_guard lock(mu_);
-  RpcMetrics& m = rpc_metrics(t);
-  Frame reply;
-  for (int attempt = 0;; ++attempt) {
-    const std::uint64_t t0 = metrics_enabled() ? metrics_now_ns() : 0;
-    try {
-      if (!sock_.valid()) sock_ = dial(endpoint_, opts_);
-      const std::size_t tx = send_frame(sock_, t, body);
-      std::size_t rx = 0;
-      reply = recv_frame(sock_, &rx);
-      m.calls->inc();
-      m.bytes_tx->inc(tx);
-      m.bytes_rx->inc(rx);
-      if (t0 != 0) m.latency->record(metrics_now_ns() - t0);
-      break;
-    } catch (const ServiceError& e) {
-      sock_.close();
-      const bool transport = e.status() == ServiceStatus::kTimeout ||
-                             e.status() == ServiceStatus::kWireError;
-      net_counter(e.status() == ServiceStatus::kTimeout ? "timeouts"
-                                                        : "wire_errors")
-          .inc();
-      if (!transport || attempt >= opts_.reconnect_attempts)
-        throw ServiceError(e.status(), endpoint_ + ": " + e.what());
-      if (opts_.reconnect_backoff_ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts_.reconnect_backoff_ms));
-      net_counter("reconnects").inc();
+ShardConn::InFlight ShardConn::send(MsgType t, const ByteWriter& body) {
+  InFlight x;
+  x.type = t;
+  x.t0 = metrics_enabled() ? metrics_now_ns() : 0;
+  {
+    std::lock_guard lock(mu_);
+    x.pool_epoch = epoch_;
+    if (!idle_.empty()) {
+      x.sock = std::move(idle_.back());
+      idle_.pop_back();
     }
   }
+  try {
+    if (!x.sock.valid()) {
+      x.sock = dial(endpoint_, opts_);
+      net_counter("client_dials").inc();
+    }
+    x.tx = send_frame(x.sock, t, body);
+  } catch (const ServiceError&) {
+    drop_pool(x.sock);
+    throw;
+  }
+  return x;
+}
+
+Frame ShardConn::receive(InFlight x) {
+  Frame reply;
+  std::size_t rx = 0;
+  try {
+    reply = recv_frame(x.sock, &rx);
+  } catch (const ServiceError&) {
+    drop_pool(x.sock);
+    throw;
+  }
+  RpcMetrics& m = rpc_metrics(x.type);
+  m.calls->inc();
+  m.bytes_tx->inc(x.tx);
+  m.bytes_rx->inc(rx);
+  if (x.t0 != 0) m.latency->record(metrics_now_ns() - x.t0);
+  // A socket checked out before the latest fault may lead to the same dead
+  // peer; it retires instead of rejoining the pool.
+  std::lock_guard lock(mu_);
+  if (x.pool_epoch == epoch_) idle_.push_back(std::move(x.sock));
+  return reply;
+}
+
+void ShardConn::after_fault(const ServiceError& e, int attempt) {
+  const bool transport = e.status() == ServiceStatus::kTimeout ||
+                         e.status() == ServiceStatus::kWireError;
+  net_counter(e.status() == ServiceStatus::kTimeout ? "timeouts"
+                                                    : "wire_errors")
+      .inc();
+  if (!transport || attempt >= opts_.reconnect_attempts)
+    throw ServiceError(e.status(), endpoint_ + ": " + e.what());
+  if (opts_.reconnect_backoff_ms > 0)
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(opts_.reconnect_backoff_ms));
+  net_counter("reconnects").inc();
+}
+
+Frame ShardConn::checked(Frame reply) const {
   if (reply.type == MsgType::kError) {
     ServiceStatus status = ServiceStatus::kWireError;
     std::string msg;
@@ -65,6 +97,58 @@ Frame ShardConn::call(MsgType t, const ByteWriter& body) {
     throw ServiceError(status, endpoint_ + ": " + msg);
   }
   return reply;
+}
+
+Frame ShardConn::call_from(MsgType t, const ByteWriter& body,
+                           int first_attempt) {
+  for (int attempt = first_attempt;; ++attempt) {
+    Frame reply;
+    try {
+      reply = receive(send(t, body));
+    } catch (const ServiceError& e) {
+      after_fault(e, attempt);
+      continue;
+    }
+    return checked(std::move(reply));
+  }
+}
+
+Frame ShardConn::call(MsgType t, const ByteWriter& body) {
+  return call_from(t, body, 0);
+}
+
+std::vector<Frame> ShardConn::call_all(
+    const std::vector<std::shared_ptr<ShardConn>>& conns, MsgType t,
+    const std::vector<const ByteWriter*>& bodies) {
+  const std::size_t n = conns.size();
+  std::vector<std::optional<InFlight>> sent(n);
+  std::vector<Frame> out(n);
+  std::vector<char> faulted(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bodies[i] == nullptr) continue;
+    try {
+      sent[i] = conns[i]->send(t, *bodies[i]);
+    } catch (const ServiceError& e) {
+      conns[i]->after_fault(e, 0);
+      faulted[i] = 1;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!sent[i]) continue;
+    try {
+      out[i] = conns[i]->receive(*std::move(sent[i]));
+    } catch (const ServiceError& e) {
+      conns[i]->after_fault(e, 0);
+      faulted[i] = 1;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (faulted[i])
+      out[i] = conns[i]->call_from(t, *bodies[i], 1);
+    else if (bodies[i] != nullptr)
+      out[i] = conns[i]->checked(std::move(out[i]));
+  }
+  return out;
 }
 
 namespace {
@@ -77,18 +161,23 @@ namespace {
 /// backend starts empty and requires mutual agreement.
 struct StampCheck {
   std::optional<WireStamp> expect;
+  /// Set when the mismatch was a reply from a later generation than
+  /// `expect` (the leader reads that as a commit landing mid-read).
+  bool newer = false;
 
   void observe(const WireStamp& s, const std::string& endpoint) {
     if (!expect) {
       expect = s;
       return;
     }
-    if (!(*expect == s))
+    if (!(*expect == s)) {
+      newer = s.generation > expect->generation;
       throw ServiceError(
           ServiceStatus::kEpochRetry,
           endpoint + ": reply stamped generation " +
               std::to_string(s.generation) + ", merge pinned to " +
               std::to_string(expect->generation));
+    }
   }
 };
 
@@ -97,15 +186,31 @@ bool retryable(ServiceStatus s) {
          s == ServiceStatus::kWireError || s == ServiceStatus::kUnavailable;
 }
 
-Frame call_expect(ShardConn& c, MsgType req, const ByteWriter& body,
+void expect_reply(const ShardConn& c, MsgType req, const Frame& f,
                   MsgType want) {
-  Frame f = c.call(req, body);
   if (f.type != want)
     throw ServiceError(ServiceStatus::kWireError,
                        c.endpoint() + ": unexpected " +
                            std::string(to_string(f.type)) + " reply to " +
                            to_string(req));
+}
+
+Frame call_expect(ShardConn& c, MsgType req, const ByteWriter& body,
+                  MsgType want) {
+  Frame f = c.call(req, body);
+  expect_reply(c, req, f, want);
   return f;
+}
+
+/// ShardConn::call_all over the shards with a non-null body, checking
+/// every reply's type.
+std::vector<Frame> call_expect_all(
+    const std::vector<std::shared_ptr<ShardConn>>& conns, MsgType req,
+    const std::vector<const ByteWriter*>& bodies, MsgType want) {
+  std::vector<Frame> fs = ShardConn::call_all(conns, req, bodies);
+  for (std::size_t s = 0; s < conns.size(); ++s)
+    if (bodies[s] != nullptr) expect_reply(*conns[s], req, fs[s], want);
+  return fs;
 }
 
 [[noreturn]] void truncated(const ShardConn& c, const char* what) {
@@ -156,16 +261,21 @@ void answer_points(const TierView& t, const std::vector<Query>& qs,
     probe[t.shard_of(q.u)].push_back(i);
   }
   for (int round = 0; round < 2; ++round) {
+    std::vector<ByteWriter> bodies(t.conns.size());
+    std::vector<const ByteWriter*> send(t.conns.size(), nullptr);
+    for (std::size_t s = 0; s < t.conns.size(); ++s) {
+      if (probe[s].empty()) continue;
+      bodies[s].u64(probe[s].size());
+      for (const std::size_t i : probe[s]) encode_query(bodies[s], qs[i]);
+      send[s] = &bodies[s];
+    }
+    const std::vector<Frame> fs = call_expect_all(
+        t.conns, MsgType::kAnswerRun, send, MsgType::kAnswerRunReply);
     std::vector<std::vector<std::size_t>> next(t.conns.size());
     for (std::size_t s = 0; s < t.conns.size(); ++s) {
       if (probe[s].empty()) continue;
-      ShardConn& conn = *t.conns[s];
-      ByteWriter body;
-      body.u64(probe[s].size());
-      for (const std::size_t i : probe[s]) encode_query(body, qs[i]);
-      Frame f = call_expect(conn, MsgType::kAnswerRun, body,
-                            MsgType::kAnswerRunReply);
-      ByteReader r(f.body.data(), f.body.size());
+      const ShardConn& conn = *t.conns[s];
+      ByteReader r(fs[s].body.data(), fs[s].body.size());
       if (r.u64() != probe[s].size()) truncated(conn, "answer_run");
       for (const std::size_t i : probe[s]) {
         const bool resolved = r.u8() != 0;
@@ -200,11 +310,14 @@ Answer merged_top_k(const TierView& t, const Query& q, StampCheck& st) {
   if (k == 0) return a;
   ByteWriter body;
   body.i64(static_cast<std::int64_t>(k));
+  const std::vector<Frame> fs = call_expect_all(
+      t.conns, MsgType::kTopK,
+      std::vector<const ByteWriter*>(t.conns.size(), &body),
+      MsgType::kTopKReply);
   std::vector<std::vector<FragileEntry>> per(t.conns.size());
   for (std::size_t s = 0; s < t.conns.size(); ++s) {
-    ShardConn& conn = *t.conns[s];
-    Frame f = call_expect(conn, MsgType::kTopK, body, MsgType::kTopKReply);
-    ByteReader r(f.body.data(), f.body.size());
+    const ShardConn& conn = *t.conns[s];
+    ByteReader r(fs[s].body.data(), fs[s].body.size());
     per[s] = r.vec<FragileEntry>();
     if (!r.ok()) truncated(conn, "top_k");
     st.observe(read_stamp(r, conn, "top_k"), conn.endpoint());
@@ -243,11 +356,13 @@ Answer merged_still_mst(const TierView& t,
   Answer a;
   ByteWriter body;
   encode_resolved_changes(body, resolved);
+  const std::vector<Frame> fs = call_expect_all(
+      t.conns, MsgType::kCertify,
+      std::vector<const ByteWriter*>(t.conns.size(), &body),
+      MsgType::kCertifyReply);
   for (std::size_t s = 0; s < t.conns.size(); ++s) {
-    ShardConn& conn = *t.conns[s];
-    Frame f = call_expect(conn, MsgType::kCertify, body,
-                          MsgType::kCertifyReply);
-    ByteReader r(f.body.data(), f.body.size());
+    const ShardConn& conn = *t.conns[s];
+    ByteReader r(fs[s].body.data(), fs[s].body.size());
     const std::vector<verify::ViolationCert> certs =
         r.vec<verify::ViolationCert>();
     if (!r.ok()) truncated(conn, "certify");
@@ -272,19 +387,24 @@ std::vector<std::optional<EdgeRef>> find_keys(
     if (t.in_bounds(keys[i].first, keys[i].second))
       probe[t.shard_of(keys[i].first)].push_back(i);
   for (int round = 0; round < 2; ++round) {
+    std::vector<ByteWriter> bodies(t.conns.size());
+    std::vector<const ByteWriter*> send(t.conns.size(), nullptr);
+    for (std::size_t s = 0; s < t.conns.size(); ++s) {
+      if (probe[s].empty()) continue;
+      bodies[s].u64(probe[s].size());
+      for (const std::size_t i : probe[s]) {
+        bodies[s].i64(keys[i].first);
+        bodies[s].i64(keys[i].second);
+      }
+      send[s] = &bodies[s];
+    }
+    const std::vector<Frame> fs = call_expect_all(
+        t.conns, MsgType::kFindRun, send, MsgType::kFindRunReply);
     std::vector<std::vector<std::size_t>> next(t.conns.size());
     for (std::size_t s = 0; s < t.conns.size(); ++s) {
       if (probe[s].empty()) continue;
-      ShardConn& conn = *t.conns[s];
-      ByteWriter body;
-      body.u64(probe[s].size());
-      for (const std::size_t i : probe[s]) {
-        body.i64(keys[i].first);
-        body.i64(keys[i].second);
-      }
-      Frame f =
-          call_expect(conn, MsgType::kFindRun, body, MsgType::kFindRunReply);
-      ByteReader r(f.body.data(), f.body.size());
+      const ShardConn& conn = *t.conns[s];
+      ByteReader r(fs[s].body.data(), fs[s].body.size());
       if (r.u64() != probe[s].size()) truncated(conn, "find_run");
       for (const std::size_t i : probe[s]) {
         const bool has = r.u8() != 0;
@@ -543,18 +663,25 @@ class LeaderShardedBackend final : public LiveBackend {
   }
 
   Answer answer(const Query& q) const override {
-    return query_with_resync([&](StampCheck& st) { return answer_at(q, st); });
+    return answer_many({q})[0];
   }
 
   std::vector<Answer> answer_many(
       const std::vector<Query>& qs) const override {
-    return query_with_resync([&](StampCheck& st) {
+    return query_with_resync(qs, [&](const Pin& p, StampCheck& st) {
+      const TierView t{conns_, p.n, p.stride};
       std::vector<Answer> out(qs.size());
-      for (std::size_t i = 0; i < qs.size(); ++i)
-        if (qs[i].kind == QueryKind::kTopKFragile ||
-            qs[i].kind == QueryKind::kStillMst)
-          out[i] = answer_at(qs[i], st);
-      answer_points(view(), qs, out, st);
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        if (qs[i].kind == QueryKind::kTopKFragile) {
+          out[i] = merged_top_k(t, qs[i], st);
+        } else if (qs[i].kind == QueryKind::kStillMst) {
+          if (p.batches[i].status == Status::kOk)
+            out[i] = merged_still_mst(t, p.batches[i].changes, st);
+          else
+            out[i].status = p.batches[i].status;
+        }
+      }
+      answer_points(t, qs, out, st);
       return out;
     });
   }
@@ -580,56 +707,84 @@ class LeaderShardedBackend final : public LiveBackend {
   /// Heal restarted shards before an ingest advances the epoch.
   void before_apply() override { resync_locked(); }
 
-  TierView view() const {
-    return TierView{conns_, n_.load(std::memory_order_acquire),
-                    stride_.load(std::memory_order_acquire)};
+  /// A still_mst batch resolved against the core: the status
+  /// resolve_changes() reported and, when kOk, the resolved changes.
+  struct ResolvedBatch {
+    Status status = Status::kOk;
+    std::vector<verify::ResolvedChange> changes;
+  };
+
+  /// What a read takes from one committed epoch: the stamp every reply
+  /// must carry, the routing view, and each still_mst batch resolved
+  /// against the core (parallel to the queries; empty for other kinds).
+  struct Pin {
+    WireStamp stamp;
+    std::size_t n = 0;
+    std::size_t stride = 1;
+    std::vector<ResolvedBatch> batches;
+  };
+
+  /// Caller holds mu_ (shared or unique).
+  Pin pin_locked(const std::vector<Query>& qs) const {
+    Pin p;
+    p.stamp = WireStamp{generation_.load(std::memory_order_relaxed),
+                        core_.index().fingerprint()};
+    p.n = n_.load(std::memory_order_relaxed);
+    p.stride = stride_.load(std::memory_order_relaxed);
+    p.batches.resize(qs.size());
+    // The identical precedence resolve() applies in-process.
+    for (std::size_t i = 0; i < qs.size(); ++i)
+      if (qs[i].kind == QueryKind::kStillMst)
+        p.batches[i].status = resolve_changes(
+            [this](Vertex u, Vertex v) { return core_.index().find(u, v); },
+            qs[i].changes, p.batches[i].changes);
+    return p;
   }
 
-  Answer answer_at(const Query& q, StampCheck& st) const {
-    const TierView t = view();
-    if (q.kind == QueryKind::kTopKFragile) return merged_top_k(t, q, st);
-    if (q.kind == QueryKind::kStillMst) {
-      // The leader resolves the batch against its authoritative core (the
-      // identical precedence resolve() applies), then fans the certification
-      // out to the shard rosters.
-      Answer a;
-      std::vector<verify::ResolvedChange> resolved;
-      a.status = resolve_changes(
-          [this](Vertex u, Vertex v) { return core_.index().find(u, v); },
-          q.changes, resolved);
-      if (a.status != Status::kOk) return a;
-      return merged_still_mst(t, resolved, st);
-    }
-    const std::vector<Query> qs{q};
-    std::vector<Answer> out(1);
-    answer_points(t, qs, out, st);
-    return out[0];
-  }
-
+  /// Run `fn(pin, stamp_check)` against a pinned epoch without holding the
+  /// reader lock across its RPCs, so an ingest never waits on a slow read.
+  /// The writer publishes epoch g+1 to the shards before it commits and
+  /// stores g+1, so a reply stamped newer than the pin is a commit landing
+  /// mid-read: re-pin (the shared lock waits for that commit) and retry.
+  /// Only replies carrying the pinned, committed stamp are merged, so no
+  /// answer computed at an uncommitted epoch leaves the leader.  After two
+  /// such re-pins the read keeps the lock, as a steady stream of commits
+  /// must not starve it.  An older or foreign stamp, or a transport fault,
+  /// suspects the tier and re-verifies it under the writer lock.
   template <typename Fn>
-  std::invoke_result_t<Fn&, StampCheck&> query_with_resync(Fn&& fn) const {
+  std::invoke_result_t<Fn&, const Pin&, StampCheck&> query_with_resync(
+      const std::vector<Query>& qs, Fn&& fn) const {
     check_not_poisoned();
-    for (int attempt = 0;; ++attempt) {
-      if (!dirty_any_.load(std::memory_order_acquire)) {
+    for (int attempt = 0, repins = 0;; ++attempt) {
+      while (!dirty_any_.load(std::memory_order_acquire)) {
         std::shared_lock lock(mu_);
+        check_not_poisoned();
+        const Pin pin = pin_locked(qs);
+        if (repins < 2) lock.unlock();
+        StampCheck st;
+        st.expect = pin.stamp;
         try {
-          StampCheck st;
-          st.expect = WireStamp{generation_.load(std::memory_order_relaxed),
-                                core_.index().fingerprint()};
-          return fn(st);
+          return fn(pin, st);
         } catch (const ServiceError& e) {
+          if (!lock.owns_lock() && st.newer &&
+              e.status() == ServiceStatus::kEpochRetry) {
+            net_counter("epoch_retries").inc();
+            ++repins;
+            continue;
+          }
           if (attempt >= 2 || !retryable(e.status())) throw;
           if (e.status() == ServiceStatus::kEpochRetry)
             net_counter("epoch_retries").inc();
           // Somebody answered with foreign state or dropped the connection;
           // suspect the whole tier and re-verify under the writer lock.
           tier_suspect_.store(true, std::memory_order_release);
+          break;
         }
-      } else if (attempt >= 2) {
+      }
+      if (dirty_any_.load(std::memory_order_acquire) && attempt >= 2)
         throw ServiceError(ServiceStatus::kUnavailable,
                            "shard tier degraded: a shard server cannot be "
                            "reached or re-bootstrapped");
-      }
       std::unique_lock lock(mu_);
       if (tier_suspect_.exchange(false, std::memory_order_acq_rel)) {
         std::fill(dirty_.begin(), dirty_.end(), 1);

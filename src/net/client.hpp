@@ -1,9 +1,10 @@
 // Client half of the networked shard tier.
 //
-// ShardConn is one lazily-dialed, mutex-guarded connection to a shard
-// server, with reconnect-and-retry on transport faults and per-RPC
-// latency/bytes meters.  On top of it client.cpp implements the two
-// IndexBackend faces of the tier:
+// ShardConn is a pool of connections to one shard server: each call checks
+// an idle socket out (or dials one), so concurrent callers never queue
+// behind each other's round trips; reconnect-and-retry on transport faults
+// and per-RPC latency/bytes meters ride every exchange.  On top of it
+// client.cpp implements the two IndexBackend faces of the tier:
 //
 //   - RemoteShardBackend (make_remote_backend): read-only attach to a set
 //     of already-running shard servers.  It mirrors QueryRouter's merges
@@ -11,17 +12,22 @@
 //     in-process resolve() does (first shard_of(u), then shard_of(v)),
 //     top-k is a k-way merge of per-shard sorted prefixes, still_mst
 //     resolves the batch remotely and merges per-shard certificate rosters.
-//     Every multi-RPC operation checks that all reply stamps agree and
-//     retries (refreshing metas) before surfacing kEpochRetry.
+//     Every fan-out sends to all shards before reading any reply.  Every
+//     multi-RPC operation checks that all reply stamps agree and retries
+//     (refreshing metas) before surfacing kEpochRetry.
 //
 //   - LeaderShardedBackend (make_leader_backend): the UpdatableBackend that
 //     owns the tier.  It is a LiveBackend (service/update.hpp) — the same
 //     core and commit path as the in-process backends — whose publish hook
 //     ships each event's labels to the owning shard servers as one kPatch
-//     (a full relabel re-splits and re-bootstraps).  Queries fan out
-//     to the shard servers under the reader lock and must come back stamped
-//     with the leader's own epoch; a shard that lost its state (restart) is
-//     detected by the stamp mismatch and re-bootstrapped on the spot.
+//     (a full relabel re-splits and re-bootstraps).  A query pins the
+//     leader's committed epoch under the reader lock (stamp, routing view,
+//     still_mst batches resolved against the core), releases the lock, and
+//     fans out; every reply must carry the pinned stamp.  A reply from a
+//     newer epoch means a commit landed mid-read: the query re-pins, which
+//     waits for that commit, and after two re-pins it reads under the lock.
+//     An older or foreign stamp means a shard lost its state (restart): the
+//     tier is re-verified and the shard re-bootstrapped on the spot.
 #pragma once
 
 #include <memory>
@@ -42,13 +48,17 @@ class Engine;
 
 namespace mpcmst::service::net {
 
-/// One connection to a peer, serialized by an internal mutex (callers may
-/// share a ShardConn across threads).  call() dials lazily, retries
-/// transport faults up to opts.reconnect_attempts times (reconnecting with
-/// backoff), decodes kError replies into thrown ServiceError, and feeds the
-/// per-RPC meters.  Transport-level retry resends the request, so callers
-/// of non-idempotent RPCs should pass reconnect_attempts = 0; every RPC in
-/// this tier (queries, patches, bootstraps) is idempotent.
+/// A pool of connections to one peer; callers may share a ShardConn across
+/// threads.  call() checks an idle socket out — dialing a new one when none
+/// is idle, so the pool grows to the peak number of concurrent callers —
+/// and returns it after the reply, so a slow exchange never blocks another
+/// caller's.  A transport fault closes the faulted socket and drops every
+/// idle one (after a peer restart the next exchange re-dials); call()
+/// retries it up to opts.reconnect_attempts times with backoff, decodes
+/// kError replies into thrown ServiceError, and feeds the per-RPC meters.
+/// Transport-level retry resends the request, so callers of non-idempotent
+/// RPCs should pass reconnect_attempts = 0; every RPC in this tier
+/// (queries, patches, bootstraps) is idempotent.
 class ShardConn {
  public:
   ShardConn(std::string endpoint, NetOptions opts);
@@ -59,14 +69,42 @@ class ShardConn {
   /// of a kError reply, or kTimeout/kWireError after retries ran out.
   Frame call(MsgType t, const ByteWriter& body);
 
-  /// Drop the cached connection (next call re-dials).
-  void invalidate();
+  /// One exchange with each conns[i] whose bodies[i] is non-null (the other
+  /// reply slots stay empty), without threads: every request is sent on its
+  /// own pooled socket before any reply is read, so the fan-out costs the
+  /// slowest peer's round trip rather than the sum.  A peer whose socket
+  /// faults falls back to call()'s retry path; errors throw as in call(),
+  /// after every reply has been read.
+  static std::vector<Frame> call_all(
+      const std::vector<std::shared_ptr<ShardConn>>& conns, MsgType t,
+      const std::vector<const ByteWriter*>& bodies);
 
  private:
-  std::mutex mu_;
+  /// A request written on a checked-out socket, awaiting its reply.
+  struct InFlight {
+    MsgType type = MsgType::kError;
+    Socket sock;
+    std::uint64_t pool_epoch = 0;  // the epoch_ it was checked out at
+    std::size_t tx = 0;
+    std::uint64_t t0 = 0;
+  };
+
+  /// Fault path: close `faulted`, drop every idle socket, and retire the
+  /// ones checked out now (a restarted peer closed them all).
+  void drop_pool(Socket& faulted);
+  InFlight send(MsgType t, const ByteWriter& body);
+  Frame receive(InFlight x);
+  /// Count a failed exchange; rethrows (endpoint-qualified) unless it was a
+  /// transport fault with retries left, in which case it backs off.
+  void after_fault(const ServiceError& e, int attempt);
+  Frame call_from(MsgType t, const ByteWriter& body, int first_attempt);
+  Frame checked(Frame reply) const;
+
   const std::string endpoint_;
   const NetOptions opts_;
-  Socket sock_;
+  std::mutex mu_;  // guards idle_ and epoch_, never held across I/O
+  std::vector<Socket> idle_;
+  std::uint64_t epoch_ = 0;  // bumped by each fault: older sockets retire
 };
 
 /// Read-only attach to a running shard tier; one endpoint per shard, in

@@ -76,11 +76,11 @@ std::size_t ShardHost::shard_of(Vertex v) const {
 
 MsgType ShardHost::answer_run(ByteReader& req, ByteWriter& rep) const {
   const std::uint64_t count = req.u64();
-  std::vector<Query> qs(static_cast<std::size_t>(
-      req.ok() && count <= (1u << 24) ? count : 0));
-  if (qs.size() != count)
+  if (!req.ok() || count > (1u << 24) ||
+      count > req.remaining() / kMinQueryBytes)
     return write_error(rep, ServiceStatus::kInvalidRequest,
                        "answer_run: unreasonable query count");
+  std::vector<Query> qs(static_cast<std::size_t>(count));
   for (Query& q : qs) {
     if (!decode_query(req, q))
       return write_error(rep, ServiceStatus::kWireError,
@@ -515,13 +515,13 @@ bool ServiceServer::handle_frame(Socket& s, const Frame& f) {
           break;
         }
         const std::uint64_t count = req.u64();
-        std::vector<EdgeEvent> events(static_cast<std::size_t>(
-            req.ok() && count <= (1u << 24) ? count : 0));
-        if (events.size() != count) {
+        if (!req.ok() || count > (1u << 24) ||
+            count > req.remaining() / kEdgeEventBytes) {
           rtype = write_error(rep, ServiceStatus::kWireError,
                               "ingest: unreasonable event count");
           break;
         }
+        std::vector<EdgeEvent> events(static_cast<std::size_t>(count));
         bool ok = true;
         for (EdgeEvent& ev : events)
           if (!decode_edge_event(req, ev)) {

@@ -133,6 +133,12 @@ bool decode_stamp(ByteReader& r, WireStamp& s);
 void encode_error(ByteWriter& w, ServiceStatus status, const std::string& msg);
 bool decode_error(ByteReader& r, ServiceStatus& status, std::string& msg);
 
+/// The shortest encodings of one Query (no changes) and one EdgeEvent: a
+/// server bounds an untrusted element count by the bytes left in the frame
+/// divided by these before allocating anything.
+inline constexpr std::size_t kMinQueryBytes = 1 + 4 * 8 + 8;
+inline constexpr std::size_t kEdgeEventBytes = 1 + 3 * 8;
+
 void encode_query(ByteWriter& w, const Query& q);
 bool decode_query(ByteReader& r, Query& q);
 
@@ -242,8 +248,9 @@ struct RpcMetrics {
 };
 RpcMetrics& rpc_metrics(MsgType request_type);
 
-/// Tier-level counters: "reconnects", "timeouts", "wire_errors",
-/// "epoch_retries", "journal_records_shipped", "snapshots_shipped".
+/// Tier-level counters: "client_dials" (ShardConn pool growth),
+/// "reconnects", "timeouts", "wire_errors", "epoch_retries",
+/// "journal_records_shipped", "snapshots_shipped".
 Counter& net_counter(const std::string& name);
 
 }  // namespace mpcmst::service::net

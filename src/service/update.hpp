@@ -333,11 +333,13 @@ class LiveBackend : public UpdatableBackend {
       std::int64_t orig_id) const override;
 
   /// Single mutation path (see UpdatableBackend): apply each event and
-  /// publish() its repairs under the writer lock (readers are excluded for
-  /// the duration, so publishing pre-commit is safe), group-commit the
-  /// journal records (fail-stop on a throwing commit), THEN store the epoch
-  /// — after publish(), so a lock-free generation() reader can never
-  /// observe epoch N+1 while published labels are still at N.
+  /// publish() its repairs under the writer lock (in-process readers are
+  /// excluded for the duration, and the networked leader's readers refuse
+  /// replies stamped past the epoch they pinned, so publishing pre-commit
+  /// is safe), group-commit the journal records (fail-stop on a throwing
+  /// commit), THEN store the epoch — after publish(), so a lock-free
+  /// generation() reader can never observe epoch N+1 while published
+  /// labels are still at N.
   std::vector<UpdateReceipt> ingest(const std::vector<EdgeEvent>& events) final;
   graph::Instance instance_snapshot() const final;
   void attach_persistence(std::shared_ptr<Persistence> p) final;

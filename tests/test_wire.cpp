@@ -200,6 +200,12 @@ TEST(WireCodec, QueryAndAnswerBodies) {
            svc::Query::still_mst({{5, 6, 11}, {2, 3, 1}}),
        })
     expect_roundtrip(q, net::encode_query, net::decode_query);
+  // The servers bound untrusted element counts by these shortest sizes.
+  mpcmst::ByteWriter point, event;
+  net::encode_query(point, svc::Query::price_change(3, 7, -5));
+  net::encode_edge_event(event, svc::EdgeEvent{});
+  EXPECT_EQ(point.size(), net::kMinQueryBytes);
+  EXPECT_EQ(event.size(), net::kEdgeEventBytes);
 
   svc::Answer a;
   a.status = svc::Status::kOk;
