@@ -8,7 +8,7 @@
 // Emits the table to stdout and BENCH_topology_churn.json for the
 // regression gate (check_regression.py: ingest_events_per_s).
 //
-//   $ ./bench_topology_churn [n] [out.json] [shards]
+//   $ ./bench_topology_churn [n] [out.json]
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
   const std::size_t n = argc > 1 ? std::stoul(argv[1]) : 20000;
   const std::string out_path =
       argc > 2 ? argv[2] : "BENCH_topology_churn.json";
-  const std::size_t shards = argc > 3 ? std::stoul(argv[3]) : 1;
 
   auto tree = graph::random_recursive_tree(n, 2033);
   const auto inst = graph::make_layered_instance(std::move(tree), 3 * n, 2037);
@@ -181,11 +180,7 @@ int main(int argc, char** argv) {
   // --- the one-time distributed build, behind the live layer ---
   mpc::Engine eng(mpc::MpcConfig::scaled(inst.input_words(), 0.5, 64.0));
   const auto t_build = Clock::now();
-  std::shared_ptr<service::UpdatableBackend> backend;
-  if (shards > 1)
-    backend = service::LiveShardedBackend::build(eng, inst, shards);
-  else
-    backend = service::LiveMonolithBackend::build(eng, inst);
+  const auto backend = service::LiveMonolithBackend::build(eng, inst);
   const double build_wall = seconds_since(t_build);
 
   // Persistent tier: ingest pays one fsync per chunk, the per-event path
@@ -205,9 +200,7 @@ int main(int argc, char** argv) {
   const double rebuild_wall = seconds_since(t_rebuild);
   const double rebuild_per_s = 1.0 / rebuild_wall;
 
-  std::cout << "instance: n=" << inst.n() << " m=" << inst.m() << "; "
-            << backend->num_shards() << " shard"
-            << (backend->num_shards() == 1 ? "" : "s")
+  std::cout << "instance: n=" << inst.n() << " m=" << inst.m()
             << "; distributed build " << format_double(build_wall)
             << "s; full-rebuild baseline " << format_double(rebuild_wall)
             << "s/update\n\n";
@@ -280,7 +273,6 @@ int main(int argc, char** argv) {
   j.key("bench").value("topology_churn");
   j.key("n").value(inst.n());
   j.key("m").value(inst.m());
-  j.key("shards").value(backend->num_shards());
   j.key("build_wall_s").value(build_wall);
   j.key("rebuild_wall_s_per_update").value(rebuild_wall);
   j.key("events_per_stream").value(count);

@@ -11,7 +11,7 @@
 // recording on vs off (metrics_set_enabled), reported in the output and the
 // JSON.
 //
-//   $ ./bench_update_throughput [n] [out.json] [shards] [--metrics]
+//   $ ./bench_update_throughput [n] [out.json] [--metrics]
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
   }
   const std::size_t n = pos.size() > 0 ? std::stoul(pos[0]) : 20000;
   const std::string out_path = pos.size() > 1 ? pos[1] : "BENCH_update.json";
-  const std::size_t shards = pos.size() > 2 ? std::stoul(pos[2]) : 1;
 
   auto tree = graph::random_recursive_tree(n, 2026);
   const auto inst = graph::make_layered_instance(std::move(tree), 3 * n, 2027);
@@ -139,11 +138,7 @@ int main(int argc, char** argv) {
   // --- the one-time distributed build, behind the live layer ---
   mpc::Engine eng(mpc::MpcConfig::scaled(inst.input_words(), 0.5, 64.0));
   const auto t_build = Clock::now();
-  std::shared_ptr<service::UpdatableBackend> backend;
-  if (shards > 1)
-    backend = service::LiveShardedBackend::build(eng, inst, shards);
-  else
-    backend = service::LiveMonolithBackend::build(eng, inst);
+  const auto backend = service::LiveMonolithBackend::build(eng, inst);
   const double build_wall = seconds_since(t_build);
 
   // --- baseline: what a snapshot service pays per confirmed change ---
@@ -153,9 +148,7 @@ int main(int argc, char** argv) {
   const double rebuild_wall = seconds_since(t_rebuild);
   const double rebuild_per_s = 1.0 / rebuild_wall;
 
-  const std::size_t built_shards = backend->num_shards();
-  std::cout << "instance: n=" << inst.n() << " m=" << inst.m() << "; "
-            << built_shards << " shard" << (built_shards == 1 ? "" : "s")
+  std::cout << "instance: n=" << inst.n() << " m=" << inst.m()
             << "; distributed build " << format_double(build_wall)
             << "s; full-rebuild baseline " << format_double(rebuild_wall)
             << "s/update\n\n";
@@ -208,7 +201,6 @@ int main(int argc, char** argv) {
   j.key("bench").value("update_throughput");
   j.key("n").value(inst.n());
   j.key("m").value(inst.m());
-  j.key("shards").value(backend->num_shards());
   j.key("build_wall_s").value(build_wall);
   j.key("rebuild_wall_s_per_update").value(rebuild_wall);
   j.key("final_generation").value(backend->generation());

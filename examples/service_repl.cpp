@@ -8,7 +8,8 @@
 //
 // --shards N > 1 partitions the index by vertex range and serves through the
 // QueryRouter (answers are byte-identical to the monolithic backend).
-// --live serves through the updatable generation layer, enabling `update`.
+// --live serves through the updatable generation layer, enabling `update`;
+// a live tier in one process is the monolith, so --live ignores --shards.
 // --persist DIR makes the live tier crash-consistent (implies --live): every
 // confirmed update is journaled before it is acknowledged and snapshots
 // compact the journal; tune with --sync {commit,none} and --every N.

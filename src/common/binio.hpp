@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace mpcmst {
@@ -75,6 +76,8 @@ class ByteWriter {
 
   const std::vector<unsigned char>& data() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
+  /// Hand the buffer over without a copy (the writer is spent afterwards).
+  std::vector<unsigned char> take() && { return std::move(buf_); }
 
  private:
   std::vector<unsigned char> buf_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <queue>
 #include <shared_mutex>
@@ -21,6 +22,13 @@ namespace mpcmst::service::net {
 ShardConn::ShardConn(std::string endpoint, NetOptions opts)
     : endpoint_(std::move(endpoint)), opts_(opts) {}
 
+std::shared_ptr<ShardConn> ShardConn::in_memory(
+    std::shared_ptr<LocalShard> shard, std::string name) {
+  auto conn = std::make_shared<ShardConn>(std::move(name), NetOptions{});
+  conn->local_ = std::move(shard);
+  return conn;
+}
+
 void ShardConn::drop_pool(Socket& faulted) {
   faulted.close();
   std::lock_guard lock(mu_);
@@ -32,6 +40,15 @@ ShardConn::InFlight ShardConn::send(MsgType t, const ByteWriter& body) {
   InFlight x;
   x.type = t;
   x.t0 = metrics_enabled() ? metrics_now_ns() : 0;
+  if (local_) {
+    // Metered as the frame the socket path would have carried.
+    ByteReader req(body.data().data(), body.size());
+    ByteWriter rep;
+    x.reply.type = local_->dispatch(t, req, rep);
+    x.reply.body = std::move(rep).take();
+    x.tx = kFrameOverhead + body.size();
+    return x;
+  }
   {
     std::lock_guard lock(mu_);
     x.pool_epoch = epoch_;
@@ -54,19 +71,22 @@ ShardConn::InFlight ShardConn::send(MsgType t, const ByteWriter& body) {
 }
 
 Frame ShardConn::receive(InFlight x) {
-  Frame reply;
-  std::size_t rx = 0;
-  try {
-    reply = recv_frame(x.sock, &rx);
-  } catch (const ServiceError&) {
-    drop_pool(x.sock);
-    throw;
+  Frame reply = std::move(x.reply);
+  std::size_t rx = kFrameOverhead + reply.body.size();
+  if (!local_) {
+    try {
+      reply = recv_frame(x.sock, &rx);
+    } catch (const ServiceError&) {
+      drop_pool(x.sock);
+      throw;
+    }
   }
   RpcMetrics& m = rpc_metrics(x.type);
   m.calls->inc();
   m.bytes_tx->inc(x.tx);
   m.bytes_rx->inc(rx);
   if (x.t0 != 0) m.latency->record(metrics_now_ns() - x.t0);
+  if (local_) return reply;
   // A socket checked out before the latest fault may lead to the same dead
   // peer; it retires instead of rejoining the pool.
   std::lock_guard lock(mu_);
@@ -626,309 +646,6 @@ class RemoteShardBackend final : public IndexBackend {
   mutable CostReceipt receipt_;
 };
 
-// --- LeaderShardedBackend -------------------------------------------------
-
-/// The UpdatableBackend that owns a networked tier: the LiveBackend commit
-/// path with publish() shipping one kPatch RPC per shard (the servers apply
-/// it through the identical shard patch primitives).  A shard whose patch
-/// RPC fails — or that answers a query with a foreign stamp after a
-/// restart — is marked dirty and re-bootstrapped from the authoritative
-/// core on the next unique-lock section; the leader itself never poisons on
-/// shard faults, only on its own journal-commit failures.
-class LeaderShardedBackend final : public LiveBackend {
- public:
-  LeaderShardedBackend(graph::Instance inst,
-                       std::shared_ptr<const SensitivityIndex> snapshot,
-                       const std::vector<std::string>& endpoints,
-                       NetOptions opts)
-      : LiveBackend(std::move(inst), snapshot, 0) {
-    MPCMST_CHECK(!endpoints.empty(), "leader: the endpoint list is empty");
-    MPCMST_CHECK(
-        endpoints.size() == clamp_shard_count(endpoints.size(), snapshot->n()),
-        "leader: " << endpoints.size() << " shard endpoints for "
-                   << snapshot->n()
-                   << " vertices (a shard must own at least one vertex)");
-    conns_.reserve(endpoints.size());
-    for (const std::string& ep : endpoints)
-      conns_.push_back(std::make_shared<ShardConn>(ep, opts));
-    dirty_.assign(conns_.size(), 1);
-    const auto split =
-        ShardedSensitivityIndex::split(*snapshot, endpoints.size());
-    receipt_ = split->receipt();
-    n_.store(split->n(), std::memory_order_release);
-    stride_.store(split->stride(), std::memory_order_release);
-    bootstrap_locked(*split, 0);
-    MPCMST_CHECK(!dirty_any_.load(std::memory_order_relaxed),
-                 "leader: could not bootstrap every shard server");
-  }
-
-  Answer answer(const Query& q) const override {
-    return answer_many({q})[0];
-  }
-
-  std::vector<Answer> answer_many(
-      const std::vector<Query>& qs) const override {
-    return query_with_resync(qs, [&](const Pin& p, StampCheck& st) {
-      const TierView t{conns_, p.n, p.stride};
-      std::vector<Answer> out(qs.size());
-      for (std::size_t i = 0; i < qs.size(); ++i) {
-        if (qs[i].kind == QueryKind::kTopKFragile) {
-          out[i] = merged_top_k(t, qs[i], st);
-        } else if (qs[i].kind == QueryKind::kStillMst) {
-          if (p.batches[i].status == Status::kOk)
-            out[i] = merged_still_mst(t, p.batches[i].changes, st);
-          else
-            out[i].status = p.batches[i].status;
-        }
-      }
-      answer_points(t, qs, out, st);
-      return out;
-    });
-  }
-
-  std::size_t num_shards() const override { return conns_.size(); }
-  bool batched_runs() const override { return true; }
-
-  /// Partition arithmetic only, lock-free (the batch fast path calls this
-  /// while workers hold the shared lock) — mirrors point_query_shard.
-  std::size_t shard_hint(const Query& q) const override {
-    if (q.kind == QueryKind::kTopKFragile || q.kind == QueryKind::kStillMst)
-      return 0;
-    const Vertex a = std::min(q.u, q.v);
-    if (a < 0 ||
-        a >= static_cast<Vertex>(n_.load(std::memory_order_acquire)))
-      return 0;
-    return std::min(
-        static_cast<std::size_t>(a) / stride_.load(std::memory_order_acquire),
-        conns_.size() - 1);
-  }
-
- private:
-  /// Heal restarted shards before an ingest advances the epoch.
-  void before_apply() override { resync_locked(); }
-
-  /// A still_mst batch resolved against the core: the status
-  /// resolve_changes() reported and, when kOk, the resolved changes.
-  struct ResolvedBatch {
-    Status status = Status::kOk;
-    std::vector<verify::ResolvedChange> changes;
-  };
-
-  /// What a read takes from one committed epoch: the stamp every reply
-  /// must carry, the routing view, and each still_mst batch resolved
-  /// against the core (parallel to the queries; empty for other kinds).
-  struct Pin {
-    WireStamp stamp;
-    std::size_t n = 0;
-    std::size_t stride = 1;
-    std::vector<ResolvedBatch> batches;
-  };
-
-  /// Caller holds mu_ (shared or unique).
-  Pin pin_locked(const std::vector<Query>& qs) const {
-    Pin p;
-    p.stamp = WireStamp{generation_.load(std::memory_order_relaxed),
-                        core_.index().fingerprint()};
-    p.n = n_.load(std::memory_order_relaxed);
-    p.stride = stride_.load(std::memory_order_relaxed);
-    p.batches.resize(qs.size());
-    // The identical precedence resolve() applies in-process.
-    for (std::size_t i = 0; i < qs.size(); ++i)
-      if (qs[i].kind == QueryKind::kStillMst)
-        p.batches[i].status = resolve_changes(
-            [this](Vertex u, Vertex v) { return core_.index().find(u, v); },
-            qs[i].changes, p.batches[i].changes);
-    return p;
-  }
-
-  /// Run `fn(pin, stamp_check)` against a pinned epoch without holding the
-  /// reader lock across its RPCs, so an ingest never waits on a slow read.
-  /// The writer publishes epoch g+1 to the shards before it commits and
-  /// stores g+1, so a reply stamped newer than the pin is a commit landing
-  /// mid-read: re-pin (the shared lock waits for that commit) and retry.
-  /// Only replies carrying the pinned, committed stamp are merged, so no
-  /// answer computed at an uncommitted epoch leaves the leader.  After two
-  /// such re-pins the read keeps the lock, as a steady stream of commits
-  /// must not starve it.  An older or foreign stamp, or a transport fault,
-  /// suspects the tier and re-verifies it under the writer lock.
-  template <typename Fn>
-  std::invoke_result_t<Fn&, const Pin&, StampCheck&> query_with_resync(
-      const std::vector<Query>& qs, Fn&& fn) const {
-    check_not_poisoned();
-    for (int attempt = 0, repins = 0;; ++attempt) {
-      while (!dirty_any_.load(std::memory_order_acquire)) {
-        std::shared_lock lock(mu_);
-        check_not_poisoned();
-        const Pin pin = pin_locked(qs);
-        if (repins < 2) lock.unlock();
-        StampCheck st;
-        st.expect = pin.stamp;
-        try {
-          return fn(pin, st);
-        } catch (const ServiceError& e) {
-          if (!lock.owns_lock() && st.newer &&
-              e.status() == ServiceStatus::kEpochRetry) {
-            net_counter("epoch_retries").inc();
-            ++repins;
-            continue;
-          }
-          if (attempt >= 2 || !retryable(e.status())) throw;
-          if (e.status() == ServiceStatus::kEpochRetry)
-            net_counter("epoch_retries").inc();
-          // Somebody answered with foreign state or dropped the connection;
-          // suspect the whole tier and re-verify under the writer lock.
-          tier_suspect_.store(true, std::memory_order_release);
-          break;
-        }
-      }
-      if (dirty_any_.load(std::memory_order_acquire) && attempt >= 2)
-        throw ServiceError(ServiceStatus::kUnavailable,
-                           "shard tier degraded: a shard server cannot be "
-                           "reached or re-bootstrapped");
-      std::unique_lock lock(mu_);
-      if (tier_suspect_.exchange(false, std::memory_order_acq_rel)) {
-        std::fill(dirty_.begin(), dirty_.end(), 1);
-        dirty_any_.store(true, std::memory_order_release);
-      }
-      resync_locked();
-    }
-  }
-
-  /// Re-verify every dirty shard (cheap kMeta probe against the leader's
-  /// epoch) and re-bootstrap the ones that really lost their slice.  Caller
-  /// holds the unique lock.
-  void resync_locked() const {
-    if (!dirty_any_.load(std::memory_order_relaxed)) return;
-    const std::uint64_t epoch = generation_.load(std::memory_order_relaxed);
-    const std::uint64_t fp = core_.index().fingerprint();
-    std::vector<std::size_t> need;
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (!dirty_[i]) continue;
-      try {
-        Frame f = call_expect(*conns_[i], MsgType::kMeta, ByteWriter(),
-                              MsgType::kMetaReply);
-        ByteReader r(f.body.data(), f.body.size());
-        WireMeta m;
-        if (decode_meta(r, m) && m.generation == epoch &&
-            m.fingerprint == fp && m.shard_index == i &&
-            m.num_shards == conns_.size() && m.n == core_.index().n()) {
-          dirty_[i] = 0;
-          continue;
-        }
-      } catch (const ServiceError&) {
-        // Unreachable or unbootstrapped; fall through to a bootstrap try.
-      }
-      need.push_back(i);
-    }
-    if (!need.empty()) {
-      const auto split =
-          ShardedSensitivityIndex::split(core_.index(), conns_.size());
-      std::vector<ShardHostState> states = make_host_states(*split, receipt_);
-      for (const std::size_t i : need) {
-        states[i].meta.generation = epoch;
-        states[i].shard.generation = epoch;
-        ByteWriter body;
-        encode_host_state(body, states[i]);
-        try {
-          call_expect(*conns_[i], MsgType::kBootstrap, body, MsgType::kOk);
-          dirty_[i] = 0;
-          net_counter("shard_rebootstraps").inc();
-        } catch (const ServiceError&) {
-          // Still down; stays dirty.
-        }
-      }
-    }
-    dirty_any_.store(
-        std::any_of(dirty_.begin(), dirty_.end(), [](char d) { return d != 0; }),
-        std::memory_order_release);
-  }
-
-  /// Ship every shard its slice of `idx` stamped with `epoch`.  Failures
-  /// mark the shard dirty instead of throwing.  Caller holds the unique
-  /// lock (or is the constructor).
-  void bootstrap_locked(const ShardedSensitivityIndex& idx,
-                        std::uint64_t epoch) const {
-    std::vector<ShardHostState> states = make_host_states(idx, receipt_);
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      states[i].meta.generation = epoch;
-      states[i].shard.generation = epoch;
-      ByteWriter body;
-      encode_host_state(body, states[i]);
-      try {
-        call_expect(*conns_[i], MsgType::kBootstrap, body, MsgType::kOk);
-        dirty_[i] = 0;
-      } catch (const ServiceError&) {
-        dirty_[i] = 1;
-        net_counter("bootstrap_failures").inc();
-      }
-    }
-    dirty_any_.store(
-        std::any_of(dirty_.begin(), dirty_.end(), [](char d) { return d != 0; }),
-        std::memory_order_release);
-  }
-
-  /// The networked scatter(): broadcast one committed update's repairs.
-  /// Never throws on a shard fault — the shard is marked dirty instead.
-  void publish(const ChangedSet& changed, std::uint64_t epoch) override {
-    const SensitivityIndex& m = core_.index();
-    if (changed.full) {
-      // A swap relabeled everything — re-split the relabeled monolith and
-      // re-bootstrap, the same re-split scatter() performs in-process.
-      const auto split = ShardedSensitivityIndex::split(m, conns_.size());
-      n_.store(split->n(), std::memory_order_release);
-      stride_.store(split->stride(), std::memory_order_release);
-      bootstrap_locked(*split, epoch);
-      return;
-    }
-    WirePatch p;
-    p.epoch = epoch;
-    p.fingerprint = m.fingerprint();
-    p.num_nontree = m.num_nontree();
-    p.tree_children.reserve(changed.tree_children.size());
-    p.tree_infos.reserve(changed.tree_children.size());
-    for (const Vertex c : changed.tree_children) {
-      p.tree_children.push_back(c);
-      p.tree_infos.push_back(m.tree_edge(c));
-    }
-    p.nontree_ids.reserve(changed.nontree_ids.size());
-    p.nontree_infos.reserve(changed.nontree_ids.size());
-    for (const std::int64_t id : changed.nontree_ids) {
-      p.nontree_ids.push_back(id);
-      p.nontree_infos.push_back(m.nontree_edge(id));
-    }
-    p.endpoint_keys.reserve(changed.endpoints.size());
-    for (const auto& [key, ref] : changed.endpoints) {
-      p.endpoint_keys.push_back(key);
-      p.endpoint_is_tree.push_back(ref.is_tree ? 1 : 0);
-      p.endpoint_ids.push_back(ref.id);
-    }
-    ByteWriter body;
-    encode_patch(body, p);
-    bool newly_dirty = false;
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (dirty_[i]) continue;  // already owes a bootstrap; skip the patch
-      try {
-        call_expect(*conns_[i], MsgType::kPatch, body, MsgType::kOk);
-      } catch (const ServiceError&) {
-        dirty_[i] = 1;
-        newly_dirty = true;
-        net_counter("patch_failures").inc();
-      }
-    }
-    if (newly_dirty) dirty_any_.store(true, std::memory_order_release);
-  }
-
-  std::vector<std::shared_ptr<ShardConn>> conns_;
-  std::atomic<std::size_t> n_{0};
-  std::atomic<std::size_t> stride_{1};
-  // Shard health: dirty_ entries flip under the unique lock (or the ctor);
-  // dirty_any_ is the lock-free fast-path summary; tier_suspect_ carries a
-  // reader's failure report to the next unique-lock resync.
-  mutable std::vector<char> dirty_;
-  mutable std::atomic<bool> dirty_any_{false};
-  mutable std::atomic<bool> tier_suspect_{false};
-};
-
 }  // namespace
 
 // --- factories ------------------------------------------------------------
@@ -941,8 +658,288 @@ std::shared_ptr<const IndexBackend> make_remote_backend(
 std::shared_ptr<UpdatableBackend> make_leader_backend(
     mpc::Engine& eng, const graph::Instance& inst,
     const std::vector<std::string>& endpoints, NetOptions opts) {
-  return std::make_shared<LeaderShardedBackend>(
-      inst, SensitivityIndex::build(eng, inst), endpoints, opts);
+  std::vector<std::shared_ptr<ShardConn>> conns;
+  conns.reserve(endpoints.size());
+  for (const std::string& ep : endpoints)
+    conns.push_back(std::make_shared<ShardConn>(ep, opts));
+  return std::make_shared<LiveShardedBackend>(
+      inst, SensitivityIndex::build(eng, inst), std::move(conns));
 }
 
 }  // namespace mpcmst::service::net
+
+// --- LiveShardedBackend -----------------------------------------------------
+
+namespace mpcmst::service {
+
+using namespace net;
+
+namespace {
+
+/// k in-memory shard hosts, one connection each.
+std::vector<std::shared_ptr<ShardConn>> in_memory_conns(std::size_t k) {
+  std::vector<std::shared_ptr<ShardConn>> conns;
+  conns.reserve(k);
+  for (std::size_t i = 0; i < k; ++i)
+    conns.push_back(ShardConn::in_memory(std::make_shared<LocalShard>(),
+                                         "in-memory shard " +
+                                             std::to_string(i)));
+  return conns;
+}
+
+bool any_dirty(const std::vector<char>& dirty) {
+  return std::any_of(dirty.begin(), dirty.end(),
+                     [](char d) { return d != 0; });
+}
+
+}  // namespace
+
+/// What a read takes from one committed epoch: the stamp every reply must
+/// carry, the routing view, and each still_mst batch resolved against the
+/// core (parallel to the queries; empty for other kinds).
+struct LiveShardedBackend::Pin {
+  /// The status resolve_changes() reported and, when kOk, the changes.
+  struct Batch {
+    Status status = Status::kOk;
+    std::vector<verify::ResolvedChange> changes;
+  };
+
+  WireStamp stamp;
+  std::size_t n = 0;
+  std::size_t stride = 1;
+  std::vector<Batch> batches;
+};
+
+LiveShardedBackend::LiveShardedBackend(
+    graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
+    std::size_t num_shards)
+    : LiveShardedBackend(
+          std::move(inst), snapshot,
+          in_memory_conns(clamp_shard_count(num_shards, snapshot->n()))) {}
+
+LiveShardedBackend::LiveShardedBackend(
+    graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
+    std::vector<std::shared_ptr<ShardConn>> conns)
+    : LiveBackend(std::move(inst), snapshot, 0), conns_(std::move(conns)) {
+  MPCMST_CHECK(!conns_.empty(), "leader: the endpoint list is empty");
+  MPCMST_CHECK(
+      conns_.size() == clamp_shard_count(conns_.size(), snapshot->n()),
+      "leader: " << conns_.size() << " shard endpoints for " << snapshot->n()
+                 << " vertices (a shard must own at least one vertex)");
+  receipt_.effective_shards = conns_.size();
+  dirty_.assign(conns_.size(), 1);
+  std::vector<std::size_t> all(conns_.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  MPCMST_CHECK(bootstrap_locked(all, 0) == all.size(),
+               "leader: could not bootstrap every shard server");
+}
+
+std::shared_ptr<LiveShardedBackend> LiveShardedBackend::build(
+    mpc::Engine& eng, const graph::Instance& inst, std::size_t num_shards) {
+  return std::make_shared<LiveShardedBackend>(
+      inst, SensitivityIndex::build(eng, inst), num_shards);
+}
+
+Answer LiveShardedBackend::answer(const Query& q) const {
+  return answer_many({q})[0];
+}
+
+std::size_t LiveShardedBackend::shard_hint(const Query& q) const {
+  if (q.kind == QueryKind::kTopKFragile || q.kind == QueryKind::kStillMst)
+    return 0;
+  const Vertex a = std::min(q.u, q.v);
+  if (a < 0 || a >= static_cast<Vertex>(n_.load(std::memory_order_acquire)))
+    return 0;
+  return std::min(
+      static_cast<std::size_t>(a) / stride_.load(std::memory_order_acquire),
+      conns_.size() - 1);
+}
+
+LiveShardedBackend::Pin LiveShardedBackend::pin_locked(
+    const std::vector<Query>& qs) const {
+  Pin p;
+  p.stamp = WireStamp{generation_.load(std::memory_order_relaxed),
+                      core_.index().fingerprint()};
+  p.n = n_.load(std::memory_order_relaxed);
+  p.stride = stride_.load(std::memory_order_relaxed);
+  p.batches.resize(qs.size());
+  // The identical precedence resolve() applies in-process.
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    if (qs[i].kind == QueryKind::kStillMst)
+      p.batches[i].status = resolve_changes(
+          [this](Vertex u, Vertex v) { return core_.index().find(u, v); },
+          qs[i].changes, p.batches[i].changes);
+  return p;
+}
+
+// Reads run against a pinned epoch without holding the reader lock across
+// their RPCs, so an ingest never waits on a slow read.  The writer
+// publishes epoch g+1 to the shards before it commits and stores g+1, so a
+// reply stamped newer than the pin is a commit landing mid-read: re-pin
+// (the shared lock waits for that commit) and retry.  Only replies carrying
+// the pinned, committed stamp are merged, so no answer computed at an
+// uncommitted epoch leaves the leader.  After two such re-pins the read
+// keeps the lock, as a steady stream of commits must not starve it.  An
+// older or foreign stamp, or a transport fault, suspects the tier and
+// re-verifies it under the writer lock.
+std::vector<Answer> LiveShardedBackend::answer_many(
+    const std::vector<Query>& qs) const {
+  check_not_poisoned();
+  for (int attempt = 0, repins = 0;; ++attempt) {
+    while (!dirty_any_.load(std::memory_order_acquire)) {
+      std::shared_lock lock(mu_);
+      check_not_poisoned();
+      const Pin pin = pin_locked(qs);
+      if (repins < 2) lock.unlock();
+      StampCheck st;
+      st.expect = pin.stamp;
+      try {
+        const TierView t{conns_, pin.n, pin.stride};
+        std::vector<Answer> out(qs.size());
+        for (std::size_t i = 0; i < qs.size(); ++i) {
+          if (qs[i].kind == QueryKind::kTopKFragile) {
+            out[i] = merged_top_k(t, qs[i], st);
+          } else if (qs[i].kind == QueryKind::kStillMst) {
+            if (pin.batches[i].status == Status::kOk)
+              out[i] = merged_still_mst(t, pin.batches[i].changes, st);
+            else
+              out[i].status = pin.batches[i].status;
+          }
+        }
+        answer_points(t, qs, out, st);
+        return out;
+      } catch (const ServiceError& e) {
+        if (!lock.owns_lock() && st.newer &&
+            e.status() == ServiceStatus::kEpochRetry) {
+          net_counter("epoch_retries").inc();
+          ++repins;
+          continue;
+        }
+        if (attempt >= 2 || !retryable(e.status())) throw;
+        if (e.status() == ServiceStatus::kEpochRetry)
+          net_counter("epoch_retries").inc();
+        // Somebody answered with foreign state or dropped the connection;
+        // suspect the whole tier and re-verify under the writer lock.
+        tier_suspect_.store(true, std::memory_order_release);
+        break;
+      }
+    }
+    if (dirty_any_.load(std::memory_order_acquire) && attempt >= 2)
+      throw ServiceError(ServiceStatus::kUnavailable,
+                         "shard tier degraded: a shard server cannot be "
+                         "reached or re-bootstrapped");
+    std::unique_lock lock(mu_);
+    if (tier_suspect_.exchange(false, std::memory_order_acq_rel)) {
+      std::fill(dirty_.begin(), dirty_.end(), 1);
+      dirty_any_.store(true, std::memory_order_release);
+    }
+    resync_locked();
+  }
+}
+
+void LiveShardedBackend::resync_locked() const {
+  if (!dirty_any_.load(std::memory_order_relaxed)) return;
+  const std::uint64_t epoch = generation_.load(std::memory_order_relaxed);
+  const std::uint64_t fp = core_.index().fingerprint();
+  std::vector<std::size_t> need;
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    if (!dirty_[i]) continue;
+    try {
+      Frame f = call_expect(*conns_[i], MsgType::kMeta, ByteWriter(),
+                            MsgType::kMetaReply);
+      ByteReader r(f.body.data(), f.body.size());
+      WireMeta m;
+      if (decode_meta(r, m) && m.generation == epoch && m.fingerprint == fp &&
+          m.shard_index == i && m.num_shards == conns_.size() &&
+          m.n == core_.index().n()) {
+        dirty_[i] = 0;
+        continue;
+      }
+    } catch (const ServiceError&) {
+      // Unreachable or unbootstrapped; fall through to a bootstrap try.
+    }
+    need.push_back(i);
+  }
+  if (!need.empty())
+    net_counter("shard_rebootstraps").inc(bootstrap_locked(need, epoch));
+  dirty_any_.store(any_dirty(dirty_), std::memory_order_release);
+}
+
+std::size_t LiveShardedBackend::bootstrap_locked(
+    const std::vector<std::size_t>& which, std::uint64_t epoch) const {
+  const auto split =
+      ShardedSensitivityIndex::split(core_.index(), conns_.size());
+  n_.store(split->n(), std::memory_order_release);
+  stride_.store(split->stride(), std::memory_order_release);
+  std::size_t took = 0;
+  for (const std::size_t i : which) {
+    ByteWriter body;
+    {
+      ShardHostState st = make_host_state(*split, i, receipt_);
+      st.meta.generation = epoch;
+      st.shard.generation = epoch;
+      encode_host_state(body, st);
+    }
+    try {
+      call_expect(*conns_[i], MsgType::kBootstrap, body, MsgType::kOk);
+      dirty_[i] = 0;
+      ++took;
+    } catch (const ServiceError&) {
+      dirty_[i] = 1;
+      net_counter("bootstrap_failures").inc();
+    }
+  }
+  dirty_any_.store(any_dirty(dirty_), std::memory_order_release);
+  return took;
+}
+
+void LiveShardedBackend::publish(const ChangedSet& changed,
+                                 std::uint64_t epoch) {
+  persist_crash_point("shard-publish");
+  const SensitivityIndex& m = core_.index();
+  if (changed.full) {
+    // A swap relabeled everything: re-bootstrap every shard from the core.
+    std::vector<std::size_t> all(conns_.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    bootstrap_locked(all, epoch);
+    return;
+  }
+  WirePatch p;
+  p.epoch = epoch;
+  p.fingerprint = m.fingerprint();
+  p.num_nontree = m.num_nontree();
+  p.tree_children.reserve(changed.tree_children.size());
+  p.tree_infos.reserve(changed.tree_children.size());
+  for (const Vertex c : changed.tree_children) {
+    p.tree_children.push_back(c);
+    p.tree_infos.push_back(m.tree_edge(c));
+  }
+  p.nontree_ids.reserve(changed.nontree_ids.size());
+  p.nontree_infos.reserve(changed.nontree_ids.size());
+  for (const std::int64_t id : changed.nontree_ids) {
+    p.nontree_ids.push_back(id);
+    p.nontree_infos.push_back(m.nontree_edge(id));
+  }
+  p.endpoint_keys.reserve(changed.endpoints.size());
+  for (const auto& [key, ref] : changed.endpoints) {
+    p.endpoint_keys.push_back(key);
+    p.endpoint_is_tree.push_back(ref.is_tree ? 1 : 0);
+    p.endpoint_ids.push_back(ref.id);
+  }
+  ByteWriter body;
+  encode_patch(body, p);
+  bool newly_dirty = false;
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    if (dirty_[i]) continue;  // already owes a bootstrap; skip the patch
+    try {
+      call_expect(*conns_[i], MsgType::kPatch, body, MsgType::kOk);
+    } catch (const ServiceError&) {
+      dirty_[i] = 1;
+      newly_dirty = true;
+      net_counter("patch_failures").inc();
+    }
+  }
+  if (newly_dirty) dirty_any_.store(true, std::memory_order_release);
+}
+
+}  // namespace mpcmst::service

@@ -193,9 +193,8 @@ MsgType ShardHost::nontree_info(ByteReader& req, ByteWriter& rep) const {
 }
 
 void ShardHost::apply_patch(const WirePatch& p) {
-  // Mirrors LiveShardedBackend::scatter()'s non-full branch exactly, with
-  // ownership derived locally: tree infos refresh the full mirrors on every
-  // server and patch labels on the owner; non-tree entries reconcile
+  // Ownership is derived locally: tree infos refresh the full mirrors on
+  // every host and patch labels on the owner; non-tree entries reconcile
   // against min-endpoint ownership (evicting stale slots everywhere else);
   // endpoint entries land on the shard owning the key's high vertex.
   for (std::size_t i = 0; i < p.tree_children.size(); ++i) {
@@ -222,8 +221,7 @@ void ShardHost::apply_patch(const WirePatch& p) {
         shard_, key,
         EdgeRef{p.endpoint_is_tree[i] != 0, p.endpoint_ids[i]});
   }
-  // Pure function of the slice — refreshing an untouched shard is a no-op,
-  // so refreshing unconditionally matches scatter()'s conditional refresh.
+  // Pure function of the slice — refreshing an untouched shard is a no-op.
   shard_refresh_cost(shard_);
   meta_.num_nontree = p.num_nontree;
   meta_.fingerprint = p.fingerprint;
@@ -231,39 +229,100 @@ void ShardHost::apply_patch(const WirePatch& p) {
   shard_.generation = p.epoch;
 }
 
-std::vector<ShardHostState> make_host_states(
-    const ShardedSensitivityIndex& idx, const CostReceipt& receipt) {
-  // Assemble the full tree mirrors once (same walk as rebuild_topology).
-  std::vector<Vertex> parent(idx.n(), -1);
-  std::vector<Weight> tree_w(idx.n(), 0);
-  for (std::size_t i = 0; i < idx.num_shards(); ++i) {
-    const IndexShard& s = idx.shard(i);
+ShardHostState make_host_state(const ShardedSensitivityIndex& idx,
+                               std::size_t i, const CostReceipt& receipt) {
+  ShardHostState st;
+  st.meta.n = idx.n();
+  st.meta.num_nontree = idx.num_nontree();
+  st.meta.stride = idx.stride();
+  st.meta.num_shards = idx.num_shards();
+  st.meta.shard_index = i;
+  st.meta.root = idx.root();
+  st.meta.violations = idx.violations();
+  st.meta.fingerprint = idx.fingerprint();
+  st.meta.generation = idx.generation();
+  st.meta.receipt = receipt;
+  st.shard = idx.shard(i);
+  // The full tree mirrors (same walk as rebuild_topology).
+  st.parent.assign(idx.n(), -1);
+  st.tree_w.assign(idx.n(), 0);
+  for (std::size_t j = 0; j < idx.num_shards(); ++j) {
+    const IndexShard& s = idx.shard(j);
     for (Vertex v = s.lo; v < s.hi; ++v) {
       const auto slot = static_cast<std::size_t>(v - s.lo);
-      parent[static_cast<std::size_t>(v)] = s.tree.parent[slot];
-      tree_w[static_cast<std::size_t>(v)] = s.tree.w[slot];
+      st.parent[static_cast<std::size_t>(v)] = s.tree.parent[slot];
+      st.tree_w[static_cast<std::size_t>(v)] = s.tree.w[slot];
     }
   }
-  std::vector<ShardHostState> out;
-  out.reserve(idx.num_shards());
-  for (std::size_t i = 0; i < idx.num_shards(); ++i) {
-    ShardHostState st;
-    st.meta.n = idx.n();
-    st.meta.num_nontree = idx.num_nontree();
-    st.meta.stride = idx.stride();
-    st.meta.num_shards = idx.num_shards();
-    st.meta.shard_index = i;
-    st.meta.root = idx.root();
-    st.meta.violations = idx.violations();
-    st.meta.fingerprint = idx.fingerprint();
-    st.meta.generation = idx.generation();
-    st.meta.receipt = receipt;
-    st.shard = idx.shard(i);
-    st.parent = parent;
-    st.tree_w = tree_w;
-    out.push_back(std::move(st));
+  return st;
+}
+
+// --- LocalShard -----------------------------------------------------------
+
+void LocalShard::install(ShardHostState st) {
+  auto host = std::make_unique<ShardHost>(std::move(st));
+  std::unique_lock lock(mu_);
+  host_ = std::move(host);
+}
+
+MsgType LocalShard::dispatch(MsgType t, ByteReader& req, ByteWriter& rep) {
+  try {
+    switch (t) {
+      case MsgType::kPing:
+        return MsgType::kPong;
+      case MsgType::kBootstrap: {
+        ShardHostState st;
+        if (!decode_host_state(req, st))
+          return write_error(rep, ServiceStatus::kWireError,
+                             "bootstrap: truncated shard state");
+        install(std::move(st));
+        return MsgType::kOk;
+      }
+      case MsgType::kPatch: {
+        WirePatch p;
+        if (!decode_patch(req, p))
+          return write_error(rep, ServiceStatus::kWireError,
+                             "patch: truncated payload");
+        std::unique_lock lock(mu_);
+        if (!host_)
+          return write_error(rep, ServiceStatus::kUnavailable,
+                             "patch before bootstrap");
+        host_->apply_patch(p);
+        return MsgType::kOk;
+      }
+      default:
+        break;
+    }
+    std::shared_lock lock(mu_);
+    if (!host_)
+      return write_error(rep, ServiceStatus::kUnavailable,
+                         "shard server not bootstrapped yet");
+    switch (t) {
+      case MsgType::kMeta:
+        encode_meta(rep, host_->meta());
+        return MsgType::kMetaReply;
+      case MsgType::kAnswerRun:
+        return host_->answer_run(req, rep);
+      case MsgType::kTopK:
+        return host_->top_k(req, rep);
+      case MsgType::kCertify:
+        return host_->certify(req, rep);
+      case MsgType::kFindRun:
+        return host_->find_run(req, rep);
+      case MsgType::kNontreeInfo:
+        return host_->nontree_info(req, rep);
+      default:
+        return write_error(
+            rep, ServiceStatus::kInvalidRequest,
+            std::string("shard server cannot serve ") + to_string(t));
+    }
+  } catch (const ServiceError& e) {
+    rep = ByteWriter();
+    return write_error(rep, e.status(), e.what());
+  } catch (const ModelError& e) {
+    rep = ByteWriter();
+    return write_error(rep, ServiceStatus::kInvalidRequest, e.what());
   }
-  return out;
 }
 
 // --- FrameServer ----------------------------------------------------------
@@ -356,91 +415,18 @@ ShardServer::ShardServer(Listener listener, NetOptions opts)
 
 ShardServer::~ShardServer() { stop(); }
 
-void ShardServer::install(ShardHostState st) {
-  std::unique_lock lock(mu_);
-  host_ = std::make_unique<ShardHost>(std::move(st));
-}
-
 bool ShardServer::handle_frame(Socket& s, const Frame& f) {
+  if (f.type == MsgType::kShutdown) {
+    try {
+      shut_down(s);
+    } catch (const ServiceError&) {
+      // The peer is gone before the acknowledgement; keep serving.
+    }
+    return false;
+  }
   ByteReader req(f.body.data(), f.body.size());
   ByteWriter rep;
-  MsgType rtype = MsgType::kOk;
-  try {
-    switch (f.type) {
-      case MsgType::kPing:
-        rtype = MsgType::kPong;
-        break;
-      case MsgType::kShutdown:
-        shut_down(s);
-        return false;
-      case MsgType::kBootstrap: {
-        ShardHostState st;
-        if (!decode_host_state(req, st)) {
-          rtype = write_error(rep, ServiceStatus::kWireError,
-                              "bootstrap: truncated shard state");
-          break;
-        }
-        install(std::move(st));
-        break;  // kOk
-      }
-      case MsgType::kPatch: {
-        WirePatch p;
-        if (!decode_patch(req, p)) {
-          rtype = write_error(rep, ServiceStatus::kWireError,
-                              "patch: truncated payload");
-          break;
-        }
-        std::unique_lock lock(mu_);
-        if (!host_) {
-          rtype = write_error(rep, ServiceStatus::kUnavailable,
-                              "patch before bootstrap");
-          break;
-        }
-        host_->apply_patch(p);
-        break;  // kOk
-      }
-      default: {
-        std::shared_lock lock(mu_);
-        if (!host_) {
-          rtype = write_error(rep, ServiceStatus::kUnavailable,
-                              "shard server not bootstrapped yet");
-          break;
-        }
-        switch (f.type) {
-          case MsgType::kMeta:
-            encode_meta(rep, host_->meta());
-            rtype = MsgType::kMetaReply;
-            break;
-          case MsgType::kAnswerRun:
-            rtype = host_->answer_run(req, rep);
-            break;
-          case MsgType::kTopK:
-            rtype = host_->top_k(req, rep);
-            break;
-          case MsgType::kCertify:
-            rtype = host_->certify(req, rep);
-            break;
-          case MsgType::kFindRun:
-            rtype = host_->find_run(req, rep);
-            break;
-          case MsgType::kNontreeInfo:
-            rtype = host_->nontree_info(req, rep);
-            break;
-          default:
-            rtype = write_error(
-                rep, ServiceStatus::kInvalidRequest,
-                std::string("shard server cannot serve ") + to_string(f.type));
-            break;
-        }
-      }
-    }
-  } catch (const ServiceError& e) {
-    rep = ByteWriter();
-    rtype = write_error(rep, e.status(), e.what());
-  } catch (const ModelError& e) {
-    rep = ByteWriter();
-    rtype = write_error(rep, ServiceStatus::kInvalidRequest, e.what());
-  }
+  const MsgType rtype = shard_.dispatch(f.type, req, rep);
   try {
     send_frame(s, rtype, rep);
   } catch (const ServiceError&) {

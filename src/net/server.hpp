@@ -8,13 +8,18 @@
 // (the client runs the two-probe protocol), kTopK returns the first
 // min(k, |order|) fragility entries, kCertify certifies the local roster
 // against a resolved batch.  kPatch applies one committed update through
-// the SAME shard patch primitives scatter() uses (shard.hpp), so a slice
-// behind a socket and a slice in-process stay byte-identical.
+// the shard patch primitives (shard.hpp).
+//
+// LocalShard is one shard host behind a lock: an optional ShardHost, reads
+// guarded by a shared mutex against kBootstrap/kPatch writers, and the one
+// per-frame dispatch every shard request goes through.  ShardServer puts it
+// behind a socket; ShardConn's in-memory mode (client.hpp) calls it
+// directly, so an in-process tier runs the same evaluators and payload
+// codecs as a networked one.
 //
 // Both servers run one FrameServer accept loop (thread-per-connection,
 // finished connections reaped on each accept) and differ only in their
-// per-frame handler.  ShardServer wraps a ShardHost, reads guarded by a
-// shared mutex against kBootstrap/kPatch writers.  ServiceServer serves a
+// per-frame handler.  ShardServer serves a LocalShard.  ServiceServer serves a
 // whole QueryService (leader or replica) behind one endpoint: kQuery/kStats
 // always, kIngest when a mutation handler is installed (else kNotLeader),
 // kSubscribe handed to the replication hub.
@@ -35,8 +40,8 @@
 
 namespace mpcmst::service::net {
 
-/// One shard server's resident state + RPC evaluators.  Not internally
-/// synchronized — ShardServer's shared_mutex is the guard.
+/// One shard host's resident state + RPC evaluators.  Not internally
+/// synchronized — LocalShard's shared_mutex is the guard.
 class ShardHost {
  public:
   explicit ShardHost(ShardHostState st);
@@ -57,7 +62,8 @@ class ShardHost {
   MsgType find_run(ByteReader& req, ByteWriter& rep) const;
   MsgType nontree_info(ByteReader& req, ByteWriter& rep) const;
 
-  /// Apply one committed update's repairs (same primitives as scatter()).
+  /// Apply one committed update's repairs through the shard patch
+  /// primitives.
   void apply_patch(const WirePatch& p);
 
  private:
@@ -72,10 +78,29 @@ class ShardHost {
   verify::TreeTopology topo_;
 };
 
-/// Split a sharded index into per-shard bootstrap payloads (the leader's
-/// side of kBootstrap; also what a static deployment loads from disk).
-std::vector<ShardHostState> make_host_states(
-    const ShardedSensitivityIndex& idx, const CostReceipt& receipt);
+/// The bootstrap payload of shard `i` of `idx` (the leader's side of
+/// kBootstrap): its slice plus the full tree mirrors.  One shard at a time,
+/// so a bootstrap never holds more than one payload.
+ShardHostState make_host_state(const ShardedSensitivityIndex& idx,
+                               std::size_t i, const CostReceipt& receipt);
+
+/// One shard host behind a reader-writer lock: kUnavailable until
+/// bootstrapped or installed.  dispatch() is the whole shard RPC surface
+/// (every request type but kShutdown, which belongs to the server); it
+/// never throws — faults come back as kError bodies.
+class LocalShard {
+ public:
+  /// Preload a slice (static deployments); kBootstrap replaces it.
+  void install(ShardHostState st);
+
+  /// Evaluate one request: decode `req`, write the reply body into `rep`,
+  /// return the reply type.
+  MsgType dispatch(MsgType t, ByteReader& req, ByteWriter& rep);
+
+ private:
+  mutable std::shared_mutex mu_;  // host_ swap/patch vs. readers
+  std::unique_ptr<ShardHost> host_;
+};
 
 /// The accept loop both servers share: thread-per-connection, each frame
 /// handed to handle_frame().  Finished connection threads are joined on
@@ -126,21 +151,19 @@ class FrameServer {
   std::thread accept_thread_;
 };
 
-/// One shard server process over an optional ShardHost (kUnavailable until
-/// bootstrapped or installed).
+/// One shard server process: a LocalShard behind a socket.
 class ShardServer final : public FrameServer {
  public:
   ShardServer(Listener listener, NetOptions opts = {});
   ~ShardServer() override;
 
   /// Preload a slice (static deployments); kBootstrap replaces it.
-  void install(ShardHostState st);
+  void install(ShardHostState st) { shard_.install(std::move(st)); }
 
  private:
   bool handle_frame(Socket& s, const Frame& f) override;
 
-  mutable std::shared_mutex mu_;  // host_ swap/patch vs. readers
-  std::unique_ptr<ShardHost> host_;
+  LocalShard shard_;
 };
 
 /// A whole QueryService behind one endpoint (leader or replica front door).

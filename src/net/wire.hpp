@@ -204,14 +204,14 @@ struct ShardHostState {
 void encode_host_state(ByteWriter& w, const ShardHostState& st);
 bool decode_host_state(ByteReader& r, ShardHostState& st);
 
-/// One committed update's label repairs, broadcast to every shard server —
-/// the networked form of one scatter() step.  Receivers apply their own
-/// slice through the same shard patch primitives (shard.hpp) the in-process
-/// backend uses: tree infos are broadcast whole (every server refreshes its
-/// weight mirror; only the owner patches labels), non-tree entries carry
-/// the info so each server derives ownership from min(u, v), endpoint
-/// entries are applied by the server owning key >> 32.  Full relabels
-/// (swaps, vertex attach) never ship as patches — the leader re-bootstraps.
+/// One committed update's label repairs, broadcast by the leader's
+/// publish() to every shard host.  Receivers apply their own slice through
+/// the shard patch primitives (shard.hpp): tree infos are broadcast whole
+/// (every host refreshes its weight mirror; only the owner patches labels),
+/// non-tree entries carry the info so each host derives ownership from
+/// min(u, v), endpoint entries are applied by the host owning key >> 32.
+/// Full relabels (swaps, vertex attach) never ship as patches — the leader
+/// re-bootstraps.
 struct WirePatch {
   std::uint64_t epoch = 0;            // generation after this update
   std::uint64_t fingerprint = 0;      // ... and the fingerprint

@@ -184,7 +184,7 @@ struct NonTreeLabels {
     sens.push_back(e.sens);
   }
 
-  /// Insert a row at position `i` (shard scatter moving a slot between
+  /// Insert a row at position `i` (a shard patch moving a slot between
   /// shards keeps its roster sorted, so inserts land mid-column).
   void insert(std::size_t i, const NonTreeEdgeInfo& e) {
     u.insert(u.begin() + static_cast<std::ptrdiff_t>(i), e.u);
@@ -214,7 +214,7 @@ struct CostReceipt {
   std::size_t input_words = 0;
   std::size_t lca_contraction_steps = 0;
   // Shards actually built.  The serving entry points (QueryService's
-  // sharded builders, LiveShardedBackend) clamp requests above the vertex
+  // sharded router, LiveShardedBackend) clamp requests above the vertex
   // count, so through them this never exceeds n; the raw
   // ShardedSensitivityIndex build/split keep the explicit empty-trailing-
   // shard regime for callers that want it.

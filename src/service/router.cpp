@@ -26,28 +26,83 @@ std::optional<NonTreeEdgeInfo> MonolithicBackend::nontree_info(
   return index_->nontree_edge(orig_id);
 }
 
-QueryRouter::QueryRouter(std::shared_ptr<const ShardedSensitivityIndex> index)
-    : index_(std::move(index)) {
-  MPCMST_ASSERT(index_ != nullptr, "QueryRouter: null sharded index");
+namespace {
+
+Answer merge_top_k(const ShardedSensitivityIndex& index, const Query& q) {
+  Answer a;
+  const std::size_t total = index.n() ? index.n() - 1 : 0;
+  const std::size_t k =
+      std::min<std::size_t>(static_cast<std::size_t>(q.k), total);
+  a.fragile.reserve(k);
+  if (k == 0) return a;
+
+  // One heap entry per non-empty shard: its next unconsumed fragility rank.
+  struct Head {
+    Weight sens;
+    Vertex child;
+    std::size_t shard;
+    std::size_t pos;
+  };
+  const auto after = [](const Head& x, const Head& y) {
+    return x.sens != y.sens ? x.sens > y.sens : x.child > y.child;
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(after)> heap(after);
+  for (std::size_t i = 0; i < index.num_shards(); ++i) {
+    const IndexShard& s = index.shard(i);
+    if (s.fragile_order.empty()) continue;
+    const Vertex child = s.fragile_order.front();
+    heap.push(Head{s.tree_sens(child), child, i, 0});
+  }
+  while (a.fragile.size() < k && !heap.empty()) {
+    const Head head = heap.top();
+    heap.pop();
+    const IndexShard& s = index.shard(head.shard);
+    a.fragile.push_back(
+        make_fragile_entry(head.child, s.tree_edge(head.child)));
+    const std::size_t next = head.pos + 1;
+    if (next < s.fragile_order.size()) {
+      const Vertex child = s.fragile_order[next];
+      heap.push(Head{s.tree_sens(child), child, head.shard, next});
+    }
+  }
+  return a;
 }
 
-std::optional<EdgeRef> QueryRouter::find(Vertex u, Vertex v) const {
-  const auto res = index_->resolve(u, v);
-  if (!res) return std::nullopt;
-  return res->ref;
-}
+Answer merge_still_mst(const ShardedSensitivityIndex& index, const Query& q) {
+  Answer a;
+  std::vector<verify::ResolvedChange> resolved;
+  a.status = resolve_changes(
+      [&index](Vertex u, Vertex v) -> std::optional<EdgeRef> {
+        const auto res = index.resolve(u, v);
+        if (!res) return std::nullopt;
+        return res->ref;
+      },
+      q.changes, resolved);
+  if (a.status != Status::kOk) return a;
 
-Answer QueryRouter::answer(const Query& q) const {
-  return route_query(*index_, q);
-}
-
-std::size_t point_query_shard(const ShardedSensitivityIndex& index,
-                              const Query& q) {
-  if (q.kind == QueryKind::kTopKFragile || q.kind == QueryKind::kStillMst)
-    return 0;  // fan-out queries touch every shard; no single-shard hint
-  const Vertex a = std::min(q.u, q.v);
-  if (a < 0 || a >= static_cast<Vertex>(index.n())) return 0;
-  return index.shard_of(a);
+  const verify::BatchCertifier cert(
+      index.topology(),
+      [&index](Vertex child) {
+        const IndexShard& s = index.shard(index.shard_of(child));
+        return s.tree.w[static_cast<std::size_t>(child - s.lo)];
+      },
+      resolved);
+  for (std::size_t i = 0; i < index.num_shards(); ++i) {
+    const IndexShard& s = index.shard(i);
+    for (std::size_t r = 0; r < s.nontree_ids.size(); ++r)
+      if (const auto viol =
+              cert.certify(s.nontree_ids[r], s.nontree.u[r], s.nontree.v[r],
+                           s.nontree.w[r], s.nontree.maxpath[r]))
+        a.certificates.push_back(*viol);
+  }
+  // Per-shard rosters ascend in orig_id but interleave across shards; the
+  // monolith scans ascending globally, so merge to that order.
+  std::sort(a.certificates.begin(), a.certificates.end(),
+            [](const verify::ViolationCert& x, const verify::ViolationCert& y) {
+              return x.orig_id < y.orig_id;
+            });
+  a.still_optimal = a.certificates.empty();
+  return a;
 }
 
 Answer route_query(const ShardedSensitivityIndex& index, const Query& q) {
@@ -72,102 +127,29 @@ Answer route_query(const ShardedSensitivityIndex& index, const Query& q) {
   return answer_for_nontree_edge(q, res->ref, *e);
 }
 
-Answer merge_top_k(const ShardedSensitivityIndex& index, const Query& q) {
-  // Epoch barrier: pin the generation the whole merge must observe.  A shard
-  // stamped differently means an update was torn across the merge — refuse
-  // to mix the generations rather than return a frankenstein top-k.
-  const std::uint64_t epoch = index.generation();
-  Answer a;
-  const std::size_t total = index.n() ? index.n() - 1 : 0;
-  const std::size_t k =
-      std::min<std::size_t>(static_cast<std::size_t>(q.k), total);
-  a.fragile.reserve(k);
-  if (k == 0) return a;
+}  // namespace
 
-  // One heap entry per non-empty shard: its next unconsumed fragility rank.
-  struct Head {
-    Weight sens;
-    Vertex child;
-    std::size_t shard;
-    std::size_t pos;
-  };
-  const auto after = [](const Head& x, const Head& y) {
-    return x.sens != y.sens ? x.sens > y.sens : x.child > y.child;
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(after)> heap(after);
-  for (std::size_t i = 0; i < index.num_shards(); ++i) {
-    const IndexShard& s = index.shard(i);
-    MPCMST_ASSERT(s.generation == epoch,
-                  "top_k merge: shard " << i << " carries generation "
-                                        << s.generation << " != epoch "
-                                        << epoch);
-    if (s.fragile_order.empty()) continue;
-    const Vertex child = s.fragile_order.front();
-    heap.push(Head{s.tree_sens(child), child, i, 0});
-  }
-  while (a.fragile.size() < k && !heap.empty()) {
-    const Head head = heap.top();
-    heap.pop();
-    const IndexShard& s = index.shard(head.shard);
-    a.fragile.push_back(
-        make_fragile_entry(head.child, s.tree_edge(head.child)));
-    const std::size_t next = head.pos + 1;
-    if (next < s.fragile_order.size()) {
-      const Vertex child = s.fragile_order[next];
-      heap.push(Head{s.tree_sens(child), child, head.shard, next});
-    }
-  }
-  MPCMST_ASSERT(index.generation() == epoch,
-                "top_k merge: index advanced mid-merge (epoch " << epoch
-                                                                << ")");
-  return a;
+QueryRouter::QueryRouter(std::shared_ptr<const ShardedSensitivityIndex> index)
+    : index_(std::move(index)) {
+  MPCMST_ASSERT(index_ != nullptr, "QueryRouter: null sharded index");
 }
 
-Answer merge_still_mst(const ShardedSensitivityIndex& index, const Query& q) {
-  // Same epoch barrier as merge_top_k: the resolutions, the tree-weight
-  // overlay and every shard's certification must observe one generation.
-  const std::uint64_t epoch = index.generation();
-  Answer a;
-  std::vector<verify::ResolvedChange> resolved;
-  a.status = resolve_changes(
-      [&index](Vertex u, Vertex v) -> std::optional<EdgeRef> {
-        const auto res = index.resolve(u, v);
-        if (!res) return std::nullopt;
-        return res->ref;
-      },
-      q.changes, resolved);
-  if (a.status != Status::kOk) return a;
+std::optional<EdgeRef> QueryRouter::find(Vertex u, Vertex v) const {
+  const auto res = index_->resolve(u, v);
+  if (!res) return std::nullopt;
+  return res->ref;
+}
 
-  const verify::BatchCertifier cert(
-      index.topology(),
-      [&index](Vertex child) {
-        const IndexShard& s = index.shard(index.shard_of(child));
-        return s.tree.w[static_cast<std::size_t>(child - s.lo)];
-      },
-      resolved);
-  for (std::size_t i = 0; i < index.num_shards(); ++i) {
-    const IndexShard& s = index.shard(i);
-    MPCMST_ASSERT(s.generation == epoch,
-                  "still_mst merge: shard " << i << " carries generation "
-                                            << s.generation << " != epoch "
-                                            << epoch);
-    for (std::size_t r = 0; r < s.nontree_ids.size(); ++r)
-      if (const auto viol =
-              cert.certify(s.nontree_ids[r], s.nontree.u[r], s.nontree.v[r],
-                           s.nontree.w[r], s.nontree.maxpath[r]))
-        a.certificates.push_back(*viol);
-  }
-  // Per-shard rosters ascend in orig_id but interleave across shards; the
-  // monolith scans ascending globally, so merge to that order.
-  std::sort(a.certificates.begin(), a.certificates.end(),
-            [](const verify::ViolationCert& x, const verify::ViolationCert& y) {
-              return x.orig_id < y.orig_id;
-            });
-  a.still_optimal = a.certificates.empty();
-  MPCMST_ASSERT(index.generation() == epoch,
-                "still_mst merge: index advanced mid-merge (epoch " << epoch
-                                                                    << ")");
-  return a;
+Answer QueryRouter::answer(const Query& q) const {
+  return route_query(*index_, q);
+}
+
+std::size_t QueryRouter::shard_hint(const Query& q) const {
+  if (q.kind == QueryKind::kTopKFragile || q.kind == QueryKind::kStillMst)
+    return 0;  // fan-out queries touch every shard; no single-shard hint
+  const Vertex a = std::min(q.u, q.v);
+  if (a < 0 || a >= static_cast<Vertex>(index_->n())) return 0;
+  return index_->shard_of(a);
 }
 
 }  // namespace mpcmst::service

@@ -111,13 +111,15 @@ class MonolithicBackend final : public IndexBackend {
   std::shared_ptr<const SensitivityIndex> index_;
 };
 
-/// The shard a point query's first probe lands on (0 for top-k and
-/// out-of-range endpoints): pure partition arithmetic, no shard data read —
-/// safe to call concurrently with in-place updates.
-std::size_t point_query_shard(const ShardedSensitivityIndex& index,
-                              const Query& q);
-
-/// The four-query API over vertex-range shards.
+/// The four-query API over vertex-range shards (the static sharded tier).
+/// Point queries resolve by endpoint-map lookup in at most two shards;
+/// top-k is a k-way merge over the per-shard fragility orders, whose
+/// (sens, child) tie-breaking reproduces the monolithic global order
+/// exactly; still_mst resolves the batch through the endpoint maps, each
+/// shard certifies its own non-tree roster (tree weights from the owning
+/// shard's columns, global path questions from the router-resident
+/// topology), and the certificates merge into ascending orig_id — the
+/// monolith's scan order, so answers stay byte-identical.
 class QueryRouter final : public IndexBackend {
  public:
   explicit QueryRouter(std::shared_ptr<const ShardedSensitivityIndex> index);
@@ -132,9 +134,7 @@ class QueryRouter final : public IndexBackend {
   std::uint64_t fingerprint() const override { return index_->fingerprint(); }
   const CostReceipt& receipt() const override { return index_->receipt(); }
   std::size_t num_shards() const override { return index_->num_shards(); }
-  std::size_t shard_hint(const Query& q) const override {
-    return point_query_shard(*index_, q);
-  }
+  std::size_t shard_hint(const Query& q) const override;
   std::optional<EdgeRef> find(Vertex u, Vertex v) const override;
   std::optional<NonTreeEdgeInfo> nontree_info(
       std::int64_t orig_id) const override {
@@ -144,31 +144,5 @@ class QueryRouter final : public IndexBackend {
  private:
   std::shared_ptr<const ShardedSensitivityIndex> index_;
 };
-
-// Shared shard-routing evaluators: QueryRouter serves them over an immutable
-// sharded snapshot, LiveShardedBackend (update.hpp) over a mutating one
-// (under its own lock).  Keeping one implementation guarantees the two
-// backends can never drift.
-
-/// Evaluate one query against a sharded index: point queries resolve by
-/// endpoint-map lookup in at most two shards, top-k goes to merge_top_k.
-Answer route_query(const ShardedSensitivityIndex& index, const Query& q);
-
-/// k-way merge over the per-shard fragility orders; (sens, child)
-/// tie-breaking reproduces the monolithic global order exactly.  The merge
-/// runs behind an epoch barrier: every consumed shard must carry the index's
-/// current generation stamp, checked again after the merge — a torn update
-/// (some shards patched, some not) can therefore never leak into one
-/// combined answer.
-Answer merge_top_k(const ShardedSensitivityIndex& index, const Query& q);
-
-/// still_mst over shards: every change resolves through the endpoint maps
-/// (≤2 probes each), then each shard certifies its own non-tree roster
-/// against the batch (tree weights served from the owning shard's columns,
-/// global path questions from the router-resident topology) and the router
-/// merges the per-shard certificate lists into ascending orig_id — the
-/// monolith's scan order, so answers stay byte-identical.  Runs behind the
-/// same epoch barrier as merge_top_k.
-Answer merge_still_mst(const ShardedSensitivityIndex& index, const Query& q);
 
 }  // namespace mpcmst::service

@@ -158,7 +158,6 @@ std::unique_ptr<QueryService> QueryService::open(const ServiceConfig& cfg) {
                "open: an in-process build needs an engine and an instance");
   mpc::Engine& eng = *cfg.engine;
   const graph::Instance& inst = *cfg.instance;
-  const std::size_t shards = clamp_shard_count(cfg.num_shards, inst.n());
 
   if (!cfg.live) {
     MPCMST_CHECK(!cfg.persist.has_value(),
@@ -166,18 +165,17 @@ std::unique_ptr<QueryService> QueryService::open(const ServiceConfig& cfg) {
                  "immutable)");
     if (cfg.sharded)
       return std::make_unique<QueryService>(
-          std::make_shared<const QueryRouter>(
-              ShardedSensitivityIndex::build(eng, inst, shards)),
+          std::make_shared<const QueryRouter>(ShardedSensitivityIndex::build(
+              eng, inst, clamp_shard_count(cfg.num_shards, inst.n()))),
           cfg.options);
     return std::make_unique<QueryService>(SensitivityIndex::build(eng, inst),
                                           cfg.options);
   }
 
-  std::shared_ptr<UpdatableBackend> backend;
-  if (cfg.sharded)
-    backend = LiveShardedBackend::build(eng, inst, shards);
-  else
-    backend = LiveMonolithBackend::build(eng, inst);
+  // One copy of the labels per process: an in-process live tier is the
+  // monolith whatever `sharded` says.
+  std::shared_ptr<UpdatableBackend> backend =
+      LiveMonolithBackend::build(eng, inst);
   std::optional<PersistenceConfig> persist = cfg.persist;
   init_persistence(*backend, persist);
   return std::make_unique<QueryService>(std::move(backend), cfg.options);

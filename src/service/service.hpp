@@ -51,8 +51,10 @@ struct RecoveredInfo {
 ///
 /// Shapes, by flag:
 ///   - in-process snapshot:        engine+instance            (sharded?)
-///   - in-process live:            engine+instance, live=true (sharded?,
-///                                 persist?)
+///   - in-process live:            engine+instance, live=true (persist?) —
+///                                 always the monolith: one copy of the
+///                                 labels per process; `sharded` and
+///                                 `num_shards` are ignored here
 ///   - recovery:                   recover_existing=true, persist required
 ///   - networked, read-only:       remote_shards non-empty, live=false —
 ///                                 attach to already-running shard servers
@@ -65,8 +67,10 @@ struct ServiceConfig {
   mpc::Engine* engine = nullptr;
   const graph::Instance* instance = nullptr;
 
-  bool sharded = false;        // vertex-range shards vs one monolith
-  std::size_t num_shards = 1;  // clamped to [1, n]; see effective_shards
+  // Static (live = false) tier only: a QueryRouter over vertex-range shards
+  // vs one monolith.  Clamped to [1, n]; see effective_shards.
+  bool sharded = false;
+  std::size_t num_shards = 1;
   bool live = false;           // updatable generation layer
 
   std::optional<PersistenceConfig> persist;

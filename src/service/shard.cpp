@@ -296,7 +296,7 @@ std::size_t ShardedSensitivityIndex::max_shard_words() const {
 }
 
 // ---------------------------------------------------------------------------
-// In-place patch primitives (shared by scatter() and the net shard server).
+// In-place patch primitives (applied by ShardHost::apply_patch).
 
 void shard_patch_tree(IndexShard& s, Vertex child, const TreeEdgeInfo& info) {
   MPCMST_ASSERT(s.owns(child),

@@ -34,11 +34,9 @@
 
 namespace mpcmst::service {
 
-class LiveShardedBackend;  // update.hpp (friended below)
-
 /// The serving-tier shard-count policy: a shard must own at least one
 /// vertex to own any labels.  Shared by every serving entry point
-/// (QueryService's sharded builders, LiveShardedBackend) so the clamp can
+/// (QueryService's sharded router, LiveShardedBackend) so the clamp can
 /// never drift between them; the raw ShardedSensitivityIndex build/split
 /// below stay unclamped for callers that want the explicit
 /// empty-trailing-shard regime.
@@ -113,11 +111,9 @@ struct IndexShard {
   }
 };
 
-// In-place patch primitives over one shard's slice.  The live sharded
-// backend's scatter() and the networked ShardServer's patch application both
-// go through these, so a label patched across a socket lands byte-identical
-// to one patched in-process — the parity guarantee is by construction, not
-// by parallel maintenance of two mutation paths.
+// In-place patch primitives over one shard's slice: how a shard host
+// (ShardHost::apply_patch, net/server.hpp) applies one committed update.
+// Each host derives from the patch which entries it owns.
 
 /// Overwrite the labels of owned tree edge {child, p(child)}, repositioning
 /// the child inside the shard-local fragility order when its sensitivity
@@ -146,7 +142,7 @@ void shard_refresh_cost(IndexShard& s);
 /// no single shard ever holds more than its range's slice of the labeling.
 class ShardedSensitivityIndex {
  public:
-  /// Run the distributed pipeline once and scatter the labels straight into
+  /// Run the distributed pipeline once and write the labels straight into
   /// shards via per-range verify::ArtifactSlice views — the full index is
   /// never materialized on one host.
   static std::shared_ptr<const ShardedSensitivityIndex> build(
@@ -165,10 +161,11 @@ class ShardedSensitivityIndex {
   std::uint64_t fingerprint() const { return fingerprint_; }
   const CostReceipt& receipt() const { return receipt_; }
 
-  /// Update epoch: 0 for a freshly built (immutable) index; the live update
-  /// layer stamps every shard with each new epoch, and the top-k merge
-  /// refuses to combine shards carrying different stamps (the barrier that
-  /// keeps one merged answer from mixing generations).
+  /// Update epoch: 0 for a freshly built index.  A loaded snapshot image
+  /// carries the generation it was written at; the sharded live tier stamps
+  /// the slices it ships to its hosts.  The top-k merge refuses to combine
+  /// shards carrying different stamps (the barrier that keeps one merged
+  /// answer from mixing generations).
   std::uint64_t generation() const { return generation_; }
 
   std::size_t num_shards() const { return shards_.size(); }
@@ -218,7 +215,6 @@ class ShardedSensitivityIndex {
   const verify::TreeTopology& topology() const { return topo_; }
 
  private:
-  friend class LiveShardedBackend;  // update.hpp: in-place generation patches
   friend struct SnapshotCodec;      // snapshot.cpp (de)serializes the shards
 
   ShardedSensitivityIndex() = default;

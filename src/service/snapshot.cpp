@@ -438,11 +438,10 @@ void Persistence::commit_batch(const std::vector<JournalRecord>& recs) {
 }
 
 void Persistence::checkpoint(std::uint64_t generation,
-                             const SensitivityIndex& index,
-                             const ShardedSensitivityIndex* shards) {
+                             const SensitivityIndex& index) {
   service_metrics().checkpoints->inc();
   TraceScope span("checkpoint");
-  write_snapshot(cfg_.dir, generation, index, shards);
+  write_snapshot(cfg_.dir, generation, index, nullptr);
   // Order matters: the snapshot is durable before the journal records it
   // subsumes are dropped — a crash between the two replays a no-op tail.
   journal_.reset();

@@ -3,13 +3,14 @@
 //
 // A snapshot serializes the index state *directly* — the SoA TreeLabels /
 // NonTreeLabels columns, fragility orders, replacement edges, endpoint maps,
-// cost receipts and the fingerprint, and (on sharded tiers) every
-// IndexShard's slice — so loading is deserialization, never a rebuild: no
-// oracle runs, no label computation, no re-splitting.  The canonical
-// instance is not stored at all; it is reconstructed from the label columns
-// (the parent/w tree columns and the u/v/w non-tree columns are byte-for-
-// byte the instance), and the reconstruction is cross-checked against the
-// stored fingerprint before anything is served.
+// cost receipts and the fingerprint, and optionally a shard set (live tiers
+// write none; images from older sharded tiers carry every IndexShard's
+// slice, which loading validates) — so loading is deserialization, never a
+// rebuild: no oracle runs, no label computation, no re-splitting.  The
+// canonical instance is not stored at all; it is reconstructed from the
+// label columns (the parent/w tree columns and the u/v/w non-tree columns
+// are byte-for-byte the instance), and the reconstruction is cross-checked
+// against the stored fingerprint before anything is served.
 //
 // Crash consistency: a snapshot is written to a .tmp file, fsync'd, then
 // rename(2)'d into place (and the directory fsync'd), so `snapshot-<gen>.bin`
@@ -48,7 +49,9 @@ std::vector<std::string> list_snapshot_files(const std::string& dir);
 std::optional<std::uint64_t> newest_snapshot_generation(const std::string& dir);
 
 /// Serialize the tier state at `generation`: the monolithic index always,
-/// plus the shard set when `shards` is non-null.  Atomic (tmp + rename).
+/// plus the shard set when `shards` is non-null (the format keeps the
+/// sharded kind, so older sharded images stay loadable).  Atomic (tmp +
+/// rename).
 void write_snapshot(const std::string& dir, std::uint64_t generation,
                     const SensitivityIndex& index,
                     const ShardedSensitivityIndex* shards);
@@ -59,7 +62,9 @@ struct TierImage {
   std::uint64_t generation = 0;
   graph::Instance instance;  // reconstructed from the label columns
   std::shared_ptr<const SensitivityIndex> index;
-  std::shared_ptr<const ShardedSensitivityIndex> shards;  // null: monolithic
+  // Validated against `index` on load; null: monolithic image.  Live tiers
+  // serve the index alone (make_live_backend).
+  std::shared_ptr<const ShardedSensitivityIndex> shards;
 
   bool sharded() const { return shards != nullptr; }
 };
@@ -116,10 +121,10 @@ class Persistence {
            since_checkpoint_ >= cfg_.snapshot_every_n;
   }
 
-  /// Snapshot the current state, truncate the journal, prune old snapshot
-  /// files (the newest two are kept: the new one plus one fallback).
-  void checkpoint(std::uint64_t generation, const SensitivityIndex& index,
-                  const ShardedSensitivityIndex* shards);
+  /// Snapshot the current state (monolithic), truncate the journal, prune
+  /// old snapshot files (the newest two are kept: the new one plus one
+  /// fallback).
+  void checkpoint(std::uint64_t generation, const SensitivityIndex& index);
 
   const PersistenceConfig& config() const { return cfg_; }
   std::uint64_t records_since_checkpoint() const { return since_checkpoint_; }

@@ -915,7 +915,7 @@ std::vector<UpdateReceipt> LiveBackend::ingest(
   if (commit_listener_ && !staged.empty()) commit_listener_(staged);
   try {
     if (persist_ && persist_->checkpoint_due())
-      persist_->checkpoint(epoch, core_.index(), checkpoint_shards());
+      persist_->checkpoint(epoch, core_.index());
   } catch (...) {
     poisoned_.store(true, std::memory_order_release);
     throw;
@@ -936,7 +936,7 @@ void LiveBackend::checkpoint() {
   check_not_poisoned();
   if (!persist_) return;
   persist_->checkpoint(generation_.load(std::memory_order_relaxed),
-                       core_.index(), checkpoint_shards());
+                       core_.index());
 }
 
 // ---------------------------------------------------------------------------
@@ -969,111 +969,7 @@ std::vector<Answer> LiveMonolithBackend::answer_many(
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// LiveShardedBackend
-
-LiveShardedBackend::LiveShardedBackend(
-    graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
-    std::size_t num_shards)
-    : LiveBackend(std::move(inst), snapshot, 0),
-      shards_(*ShardedSensitivityIndex::split(
-          *snapshot, clamp_shard_count(num_shards, snapshot->n()))) {
-  receipt_ = shards_.receipt();
-}
-
-LiveShardedBackend::LiveShardedBackend(
-    graph::Instance inst, std::shared_ptr<const SensitivityIndex> snapshot,
-    std::shared_ptr<const ShardedSensitivityIndex> shards,
-    std::uint64_t initial_generation)
-    : LiveBackend(std::move(inst), std::move(snapshot), initial_generation),
-      shards_(*shards) {
-  receipt_ = shards_.receipt();
-  MPCMST_ASSERT(shards_.fingerprint() == core_.index().fingerprint(),
-                "recovered shard set does not match the monolithic snapshot");
-  MPCMST_ASSERT(shards_.generation() == initial_generation,
-                "recovered shard set carries epoch "
-                    << shards_.generation() << ", expected "
-                    << initial_generation);
-}
-
-std::shared_ptr<LiveShardedBackend> LiveShardedBackend::build(
-    mpc::Engine& eng, const graph::Instance& inst, std::size_t num_shards) {
-  return std::make_shared<LiveShardedBackend>(
-      inst, SensitivityIndex::build(eng, inst), num_shards);
-}
-
-Answer LiveShardedBackend::answer(const Query& q) const {
-  check_not_poisoned();
-  std::shared_lock lock(mu_);
-  return route_query(shards_, q);
-}
-
-std::vector<Answer> LiveShardedBackend::answer_many(
-    const std::vector<Query>& qs) const {
-  check_not_poisoned();
-  std::shared_lock lock(mu_);
-  std::vector<Answer> out;
-  out.reserve(qs.size());
-  for (const Query& q : qs) out.push_back(route_query(shards_, q));
-  return out;
-}
-
-std::size_t LiveShardedBackend::num_shards() const {
-  std::shared_lock lock(mu_);
-  return shards_.num_shards();
-}
-
-void LiveShardedBackend::publish(const ChangedSet& changed,
-                                 std::uint64_t epoch) {
-  persist_crash_point("shard-scatter");
-  const SensitivityIndex& m = core_.index();
-  if (changed.full) {
-    // A swap relabeled everything; re-split the relabeled monolith (same
-    // code path that built the shards, so contents stay byte-identical) —
-    // per-shard fragility orders and cost receipts come out recomputed.
-    shards_ = *ShardedSensitivityIndex::split(m, shards_.num_shards());
-  } else {
-    // Each mutation goes through the shared shard patch primitives
-    // (shard.hpp) — the same functions the networked ShardServer applies,
-    // so a slice behind a socket and a slice in this process stay
-    // byte-identical by construction.
-    for (const Vertex c : changed.tree_children)
-      shard_patch_tree(shards_.shards_[shards_.shard_of(c)], c,
-                       m.tree_edge(c));
-    bool moved = false;
-    for (const std::int64_t id : changed.nontree_ids) {
-      // A fresh insert lands in a grown slot; a tombstone rehomes to
-      // shard_of(0).  Reconciling every shard against the unique owner
-      // evicts the stale slot wherever it was.
-      const NonTreeEdgeInfo info = m.nontree_edge(id);
-      const std::size_t owner = shards_.shard_of(std::min(info.u, info.v));
-      for (std::size_t i = 0; i < shards_.shards_.size(); ++i)
-        moved |= shard_patch_nontree(shards_.shards_[i], i == owner, id, info);
-    }
-    for (const auto& [key, ref] : changed.endpoints)
-      shard_patch_endpoint(
-          shards_.shards_[shards_.shard_of(static_cast<Vertex>(key >> 32))],
-          key, ref);
-    moved = moved || shards_.num_nontree_ != m.num_nontree();
-    shards_.num_nontree_ = m.num_nontree();
-    if (moved || !changed.endpoints.empty()) {
-      // Topology churn resized a shard's columns or endpoint map: refresh
-      // the cost receipts in place (same formula as finalize()).
-      for (IndexShard& s : shards_.shards_) shard_refresh_cost(s);
-    }
-    shards_.fingerprint_ = m.fingerprint();
-  }
-  // Epoch barrier: stamp every shard with the new epoch before the lock is
-  // released; the top-k merge asserts uniformity against the global stamp.
-  shards_.generation_ = epoch;
-  for (IndexShard& s : shards_.shards_) s.generation = epoch;
-}
-
 std::shared_ptr<LiveBackend> make_live_backend(TierImage image) {
-  if (image.sharded())
-    return std::make_shared<LiveShardedBackend>(
-        std::move(image.instance), std::move(image.index),
-        std::move(image.shards), image.generation);
   return std::make_shared<LiveMonolithBackend>(
       std::move(image.instance), std::move(image.index), image.generation);
 }

@@ -35,9 +35,14 @@
 // what a fresh build of that instance would carry) and advances a strictly
 // increasing generation counter.  The service's LRU keys on the fingerprint
 // — a stale generation can never be served — and revalidates inserts on the
-// generation so an update racing a query cannot poison an older key.  On
-// the sharded backend every shard is stamped with the new epoch and the
-// top-k merge (router.hpp) refuses to combine shards whose stamps differ.
+// generation so an update racing a query cannot poison an older key.  The
+// sharded tier (LiveShardedBackend, net/client.hpp) stamps every shard host
+// with the new epoch, and its reads merge only replies carrying the epoch
+// they pinned.
+//
+// An in-process live tier holds exactly one copy of the labels: the core.
+// Sharding is the networked leader's business, where each shard host holds
+// only its slice.
 #pragma once
 
 #include <atomic>
@@ -52,7 +57,6 @@
 #include "service/journal.hpp"
 #include "service/query.hpp"
 #include "service/router.hpp"
-#include "service/shard.hpp"
 
 namespace mpcmst::service {
 
@@ -131,12 +135,12 @@ UpdateReport remove_edge_from_instance(graph::Instance& inst, Vertex u,
 UpdateReport apply_event_to_instance(graph::Instance& inst,
                                      const EdgeEvent& ev);
 
-/// Labels touched by one in-place repair (what the sharded backend must
-/// scatter); `full` marks a swap, after which everything was relabeled.
-/// Topology churn generalizes the patches: `nontree_ids` may name slots that
-/// are new, tombstoned, or whose owning shard changed (the scatter moves
-/// them), and an endpoints entry carrying EdgeRef{false, -1} means "erase
-/// this key" (the last duplicate of the key was deleted).
+/// Labels touched by one in-place repair (what the sharded tier ships to
+/// its shard hosts); `full` marks a swap, after which everything was
+/// relabeled.  Topology churn generalizes the patches: `nontree_ids` may
+/// name slots that are new, tombstoned, or whose owning shard changed (the
+/// hosts move them), and an endpoints entry carrying EdgeRef{false, -1}
+/// means "erase this key" (the last duplicate of the key was deleted).
 struct ChangedSet {
   bool full = false;
   std::vector<Vertex> tree_children;
@@ -158,9 +162,9 @@ struct UpdateReceipt {
 /// The single-sourced update engine: one mutable monolithic generation
 /// (instance + SensitivityIndex value; the structure-only topology view
 /// travels inside the index — see SensitivityIndex::topology()).
-/// Both live backends delegate here, so the monolith and the shards can
-/// never disagree on what an update means.  Not internally synchronized —
-/// the owning backend holds the lock.
+/// Every live backend delegates here, so the monolith and the sharded tier
+/// can never disagree on what an update means.  Not internally
+/// synchronized — the owning backend holds the lock.
 class LiveCore {
  public:
   /// `snapshot` must be the index of `inst` (fingerprints are checked).
@@ -244,8 +248,8 @@ class LiveCore {
 /// already discriminates reweight / insert / delete, so every other mutator
 /// is a one-line wrapper building a single-event batch.  LiveBackend (below)
 /// is the one implementation: its lock/journal/poison commit path serves the
-/// monolith, the in-process shards and the networked leader, which differ
-/// only in their publish hook.
+/// monolith and the sharded leader, which differ only in their publish
+/// hook.
 class UpdatableBackend : public IndexBackend {
  public:
   /// Absorb one confirmed weight change: ingest of a single kReweight event.
@@ -306,14 +310,15 @@ UpdateReceipt replay_journal_record(UpdatableBackend& backend,
 
 /// The one live commit path: LiveCore behind a reader-writer lock, with the
 /// journal group commit, fail-stop poison, epoch publish and checkpoint
-/// policy defined exactly once.  The three deployments derive from it and
+/// policy defined exactly once.  The two deployments derive from it and
 /// differ only in where a committed repair goes (publish()) and how they
 /// answer queries:
 ///   - LiveMonolithBackend answers straight from the core;
-///   - LiveShardedBackend scatters into in-process shards;
-///   - the networked leader (net/client.cpp) ships patches to shard servers.
+///   - LiveShardedBackend (net/client.hpp) ships patches to its shard
+///     hosts, over TCP or in memory, and answers by fanning out to them.
 /// Metadata reads (n, fingerprint, find, ...) are served from the core,
-/// which every deployment keeps authoritative.
+/// which every deployment keeps authoritative, and snapshots are the
+/// core's (monolithic).
 class LiveBackend : public UpdatableBackend {
  public:
   std::size_t n() const override;
@@ -348,7 +353,7 @@ class LiveBackend : public UpdatableBackend {
  protected:
   /// `initial_generation` restores the epoch counter when reconstructing a
   /// persisted tier; fresh builds leave it 0.  The receipt defaults to the
-  /// snapshot's; sharded deployments overwrite it in their constructor.
+  /// snapshot's; the sharded tier sets its shard count in its constructor.
   LiveBackend(graph::Instance inst,
               std::shared_ptr<const SensitivityIndex> snapshot,
               std::uint64_t initial_generation);
@@ -356,16 +361,12 @@ class LiveBackend : public UpdatableBackend {
   /// Throws ServiceError(kPoisoned) once a commit has failed.
   void check_not_poisoned() const;
 
-  /// Deployment hooks, all called under the writer lock.  publish() moves
+  /// Deployment hooks, both called under the writer lock.  publish() moves
   /// one applied event's repairs to wherever queries read them and stamps
   /// them with `epoch`; before_apply() runs once per ingest before the
-  /// first event; checkpoint_shards() is the shard set a snapshot stores
-  /// (null: monolithic image).
+  /// first event.
   virtual void publish(const ChangedSet& changed, std::uint64_t epoch) = 0;
   virtual void before_apply() {}
-  virtual const ShardedSensitivityIndex* checkpoint_shards() const {
-    return nullptr;
-  }
 
   mutable std::shared_mutex mu_;
   LiveCore core_;
@@ -402,54 +403,9 @@ class LiveMonolithBackend final : public LiveBackend {
   void publish(const ChangedSet&, std::uint64_t) override {}
 };
 
-/// The sharded serving tier made live: the core classifies and repairs, and
-/// publish() scatters the changed labels into the owning shards in place
-/// (swaps re-split the relabeled monolith).  Every update stamps all shards
-/// with the new epoch before the lock is released — the barrier the top-k
-/// merge checks.
-class LiveShardedBackend final : public LiveBackend {
- public:
-  LiveShardedBackend(graph::Instance inst,
-                     std::shared_ptr<const SensitivityIndex> snapshot,
-                     std::size_t num_shards);
-
-  /// Recovery path: serve a deserialized shard set as-is (no re-split) and
-  /// restore the epoch counter.  `shards` must carry the same fingerprint
-  /// as `snapshot` and be stamped with `initial_generation` throughout.
-  LiveShardedBackend(graph::Instance inst,
-                     std::shared_ptr<const SensitivityIndex> snapshot,
-                     std::shared_ptr<const ShardedSensitivityIndex> shards,
-                     std::uint64_t initial_generation);
-
-  static std::shared_ptr<LiveShardedBackend> build(mpc::Engine& eng,
-                                                   const graph::Instance& i,
-                                                   std::size_t num_shards);
-
-  Answer answer(const Query& q) const override;
-  /// One poison check and one reader-lock acquisition for the whole run.
-  std::vector<Answer> answer_many(const std::vector<Query>& qs) const override;
-  std::size_t num_shards() const override;
-  /// Partition arithmetic only (the vertex ranges never move, even across
-  /// updates), so no lock — required: the batch fast path calls this while
-  /// other workers hold the shared lock.
-  std::size_t shard_hint(const Query& q) const override {
-    return point_query_shard(shards_, q);
-  }
-
-  /// Per-shard views for tests (hold no lock across updates).
-  const ShardedSensitivityIndex& sharded() const { return shards_; }
-
- private:
-  void publish(const ChangedSet& changed, std::uint64_t epoch) override;
-  const ShardedSensitivityIndex* checkpoint_shards() const override {
-    return &shards_;
-  }
-
-  ShardedSensitivityIndex shards_;
-};
-
-/// Serve a loaded snapshot image (recovery, or a replica's install) on the
-/// live backend its shape calls for: sharded images keep their shard set.
+/// Serve a loaded snapshot image (recovery, or a replica's install) on a
+/// LiveMonolithBackend.  An image that also carries a shard set (written
+/// by an older sharded tier) was validated on load; the set is dropped.
 std::shared_ptr<LiveBackend> make_live_backend(TierImage image);
 
 }  // namespace mpcmst::service

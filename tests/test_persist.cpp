@@ -389,7 +389,8 @@ TEST(Persist, RecoverMatchesLiveTierAndFreshRebuild) {
   // Continuity with the live tier...
   EXPECT_EQ(recovered->backend().generation(), live->backend().generation());
   EXPECT_EQ(recovered->backend().fingerprint(), live->backend().fingerprint());
-  EXPECT_EQ(recovered->backend().num_shards(), 3u);
+  // An in-process live tier (and its recovery) is the monolith.
+  EXPECT_EQ(recovered->backend().num_shards(), 1u);
   const auto current = live->updatable_backend()->instance_snapshot();
   const auto rec_inst = recovered->updatable_backend()->instance_snapshot();
   EXPECT_EQ(rec_inst.tree.parent, current.tree.parent);

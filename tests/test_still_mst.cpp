@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "net/client.hpp"
 #include "seq/oracles.hpp"
 #include "service/router.hpp"
 #include "service/service.hpp"

@@ -2,21 +2,27 @@
 // (src/service/update.hpp): add_edge / remove_edge / ingest on the live
 // backends, held — after every step — to byte-identical answers against a
 // fresh full rebuild of the canonical post-event instance, on the monolith
-// and shard counts {1, 3, 8}.  The soak mixes reweights, non-tree inserts
+// and the sharded tier (in-memory shard hosts) at shard counts {1, 3, 8}.
+// The soak mixes reweights, non-tree inserts
 // (including duplicate-key inserts), insert-swaps, vertex attaches,
 // non-tree deletes (slot tombstoning + label repair), tree deletes
 // (replacement promotion), and refused bridge deletes (kWouldDisconnect,
 // state unchanged) — journaled throughout, with recovery bounces and
 // grown/shrunk-column snapshot round-trips.  Also here: the fail-stop
 // commit regression (a write fault injected via set_persist_crash_hook must
-// poison the backend, never serve state ahead of the journal) and the
-// epoch-ordering regression (the sharded backend must not publish the new
-// generation before scatter() has patched the shards).
+// poison the backend, never serve state ahead of the journal), the
+// epoch-ordering regression (the sharded tier must not publish the new
+// generation before its publish() has patched the shard hosts), and the
+// recovery of snapshot images written with a shard set (they load into the
+// monolith).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -24,6 +30,7 @@
 
 #include "common/check.hpp"
 #include "graph/generators.hpp"
+#include "net/client.hpp"
 #include "service/journal.hpp"
 #include "service/router.hpp"
 #include "service/service.hpp"
@@ -378,6 +385,80 @@ TEST(Topology, ChurnOracleSoak) {
     EXPECT_EQ(image->shards->shard(s).nontree, final_shards->shard(s).nontree);
 }
 
+// ---------------------------------------------------------------------------
+// Snapshot images written with a shard set (what sharded live tiers once
+// checkpointed) keep loading: the shard set is validated, then dropped, and
+// the tier recovers into the monolith.
+
+TEST(Topology, LegacyShardedImageRecoversIntoMonolith) {
+  auto tree = g::random_recursive_tree(32, 1801);
+  g::assign_random_tree_weights(tree, 1, 30, 1803);
+  const auto base = g::make_mst_instance(std::move(tree), 64, 1807,
+                                         /*slack=*/4);
+  const auto snapshot = fresh_build(base);
+  const auto dir = soak_dir("legacy_sharded");
+  const svc::PersistenceConfig cfg{dir.str(), svc::SyncMode::kCommit,
+                                   /*snapshot_every_n=*/0};
+
+  // Generation 0 written with a 3-shard set, then a journal tail on top.
+  auto live = std::make_shared<svc::LiveMonolithBackend>(base, snapshot);
+  live->attach_persistence(svc::Persistence::create_fresh(cfg));
+  live->checkpoint();
+  const auto shards = svc::ShardedSensitivityIndex::split(*snapshot, 3);
+  svc::write_snapshot(dir.str(), 0, *snapshot, shards.get());
+  const auto image = svc::load_snapshot_file(svc::snapshot_path(dir.str(), 0));
+  ASSERT_TRUE(image.has_value());
+  ASSERT_TRUE(image->sharded());
+  ASSERT_EQ(image->shards->num_shards(), 3u);
+
+  g::Instance oracle_inst = base;
+  std::mt19937_64 rng(0x1e6a);
+  std::uint64_t applied = 0;
+  for (std::size_t i = 0; i < 30; ++i) {
+    const svc::EdgeEvent ev = pick_event(oracle_inst, rng);
+    const svc::UpdateReport want = svc::apply_event_to_instance(oracle_inst, ev);
+    expect_reports_equal(apply_event(*live, ev).report, want, i);
+    if (want.status == svc::Status::kOk &&
+        want.cls != svc::UpdateClass::kNoChange)
+      ++applied;
+  }
+  ASSERT_GT(applied, 0u);
+  live.reset();  // release the journal before recovering
+
+  svc::RecoveredInfo info;
+  auto recovered = svc::QueryService::open(
+      {.persist = cfg, .recover_existing = true, .recovered = &info});
+  EXPECT_EQ(info.snapshot_generation, 0u);
+  EXPECT_EQ(info.replayed_records, applied);
+  EXPECT_NE(dynamic_cast<const svc::LiveMonolithBackend*>(
+                &recovered->backend()),
+            nullptr);
+  EXPECT_EQ(recovered->backend().num_shards(), 1u);
+  EXPECT_EQ(recovered->backend().generation(), applied);
+  const svc::MonolithicBackend oracle(fresh_build(oracle_inst));
+  EXPECT_EQ(recovered->backend().fingerprint(), oracle.fingerprint());
+  for (const svc::Query& q : topology_queries(oracle_inst))
+    ASSERT_EQ(recovered->backend().answer(q), oracle.answer(q))
+        << to_string(q);
+
+  // The operator's lens still reads the image, shard set included.
+  const auto dump_dir = soak_dir("legacy_sharded_dump");
+  const std::string out = dump_dir.sub("journal_dump.txt");
+  const std::string cmd = std::string(MPCMST_JOURNAL_DUMP) + " " + dir.str() +
+                          " --verify > " + out + " 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(out);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("generation 0, n=" + std::to_string(base.n())),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("3 shards"), std::string::npos) << text;
+  EXPECT_NE(text.find(std::to_string(applied) + " record"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("chain OK"), std::string::npos) << text;
+}
+
 TEST(Topology, IngestBatchMatchesSequentialApply) {
   auto tree = g::random_recursive_tree(30, 1301);
   g::assign_random_tree_weights(tree, 1, 30, 1303);
@@ -583,9 +664,9 @@ TEST(Topology, IngestFaultPoisonsMidBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch ordering: the sharded backend must not publish the new generation
-// until scatter() has patched the shards.  The "shard-scatter" crash point
-// fires at the top of scatter(); a racing reader that observes the
+// Epoch ordering: the sharded tier must not publish the new generation
+// until publish() has patched the shard hosts.  The "shard-publish" crash
+// point fires at the top of publish(); a racing reader that observes the
 // generation there must still see the PRE-update epoch.
 
 std::atomic<const svc::UpdatableBackend*> g_probe_backend{nullptr};
@@ -593,7 +674,7 @@ std::atomic<std::uint64_t> g_gen_at_scatter{0};
 std::atomic<std::uint64_t> g_scatter_hits{0};
 
 void scatter_probe_hook(const char* phase) {
-  if (std::strcmp(phase, "shard-scatter") != 0) return;
+  if (std::strcmp(phase, "shard-publish") != 0) return;
   if (const auto* b = g_probe_backend.load(std::memory_order_acquire)) {
     g_gen_at_scatter.store(b->generation(), std::memory_order_release);
     g_scatter_hits.fetch_add(1, std::memory_order_acq_rel);
@@ -627,9 +708,9 @@ TEST(Topology, GenerationPublishedOnlyAfterScatter) {
     if (r.report.cls == svc::UpdateClass::kNoChange) continue;
     ++advanced;
     ASSERT_GT(g_scatter_hits.load(std::memory_order_acquire), hits_before);
-    // Regression: the old commit path stored the new generation BEFORE
-    // scatter(), so a reader arriving here saw an epoch whose shards were
-    // not yet patched.
+    // Regression: an old commit path stored the new generation BEFORE
+    // patching the shards, so a reader arriving here saw an epoch whose
+    // shards were not yet patched.
     ASSERT_EQ(g_gen_at_scatter.load(std::memory_order_acquire), gen_before)
         << "update " << i
         << ": generation published before the shards were patched";

@@ -6,11 +6,13 @@
 // directions, and exact ties at the headroom edge.  The whole sequence runs
 // journaled (persistence attached to every backend), and every 50 steps each
 // tier is recovered from disk and held to the same oracle: fingerprint and
-// generation continuity plus byte-identical answers.  Plus: still_mst
+// generation continuity plus byte-identical answers.  The sharded tiers are
+// LiveShardedBackend over in-memory shard hosts.  Plus: still_mst
 // cache-generation safety (a pre-update answer can never be served post-
-// update; entries of a byte-identical generation still hit), the sharded
-// open() shard-count clamp regression, epoch stamping, and concurrent
-// queries during updates (the paths the ASan/UBSan CI jobs watch).
+// update; entries of a byte-identical generation still hit), the shard-count
+// clamp, the sharded tier's epoch barrier, and concurrent queries during
+// updates on the monolith and the sharded tier (the paths the sanitizer CI
+// jobs watch).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "net/client.hpp"
 #include "seq/oracles.hpp"
 #include "service/journal.hpp"
 #include "service/router.hpp"
@@ -355,15 +358,16 @@ TEST(Update, BuildShardedClampsShardCount) {
   EXPECT_EQ(service->backend().num_shards(), 30u);
   EXPECT_EQ(service->backend().receipt().effective_shards, 30u);
 
+  // An in-process live tier keeps one copy of the labels: `sharded` is a
+  // static-tier option, so this opens the monolith.
   auto eng2 = mpcmst::test::make_engine(64 * inst.input_words());
   const auto live = svc::QueryService::open(
       {.engine = &eng2, .instance = &inst, .sharded = true, .num_shards = 99,
        .live = true});
-  EXPECT_EQ(live->backend().num_shards(), 30u);
-  EXPECT_EQ(live->backend().receipt().effective_shards, 30u);
+  EXPECT_EQ(live->backend().num_shards(), 1u);
+  EXPECT_EQ(live->backend().receipt().effective_shards, 1u);
 
-  // The clamp also holds on the direct live-backend entry point (what the
-  // update bench drives), not just the QueryService wrappers.
+  // The clamp holds on the sharded live tier's own entry point.
   auto eng4 = mpcmst::test::make_engine(64 * inst.input_words());
   const auto direct = svc::LiveShardedBackend::build(eng4, inst, 500);
   EXPECT_EQ(direct->num_shards(), 30u);
@@ -376,6 +380,7 @@ TEST(Update, BuildShardedClampsShardCount) {
     ASSERT_EQ(service->backend().answer(q), expected.answer(q))
         << to_string(q);
     ASSERT_EQ(live->backend().answer(q), expected.answer(q)) << to_string(q);
+    ASSERT_EQ(direct->answer(q), expected.answer(q)) << to_string(q);
   }
 
   // Sane requests are untouched.
@@ -414,6 +419,11 @@ TEST(Update, EpochBarrierStampsEveryShard) {
   const auto inst = g::make_mst_instance(std::move(tree), 120, 457, 4);
   auto eng = mpcmst::test::make_engine(64 * inst.input_words());
   auto backend = svc::LiveShardedBackend::build(eng, inst, 5);
+  ASSERT_EQ(backend->num_shards(), 5u);
+  const std::uint64_t retries0 =
+      svc::net::net_counter("epoch_retries").total();
+  const std::uint64_t reboots0 =
+      svc::net::net_counter("shard_rebootstraps").total();
 
   std::mt19937_64 rng(19);
   for (std::size_t i = 0; i < 10; ++i) {
@@ -427,31 +437,24 @@ TEST(Update, EpochBarrierStampsEveryShard) {
         1 + static_cast<g::Weight>(rng() % 25));
   }
   EXPECT_GT(backend->generation(), 0u);
-  const auto& sharded = backend->sharded();
-  EXPECT_EQ(sharded.generation(), backend->generation());
-  for (std::size_t i = 0; i < sharded.num_shards(); ++i)
-    EXPECT_EQ(sharded.shard(i).generation, backend->generation())
-        << "shard " << i;
   // The barrier holds, so the merge serves — and still matches a rebuild.
   const auto oracle_idx = fresh_build(backend->instance_snapshot());
   const svc::MonolithicBackend oracle(oracle_idx);
   const auto q = svc::Query::top_k_fragile(20);
   EXPECT_EQ(backend->answer(q), oracle.answer(q));
+  // Every shard host carried the committed epoch: the top-k read merged on
+  // its first pin, and no host had to be re-bootstrapped.
+  EXPECT_EQ(svc::net::net_counter("epoch_retries").total() - retries0, 0u);
+  EXPECT_EQ(svc::net::net_counter("shard_rebootstraps").total() - reboots0,
+            0u);
 }
 
-TEST(Update, ConcurrentQueriesDuringUpdates) {
-  // The locking the sanitizer jobs watch: batched queries race confirmed
-  // updates; every served answer must belong to SOME generation (the epoch
-  // barrier asserts internally), and the final state must match a rebuild.
-  auto tree = g::random_recursive_tree(90, 461);
-  g::assign_random_tree_weights(tree, 1, 50, 463);
-  const auto inst = g::make_mst_instance(std::move(tree), 180, 467, 5);
-  auto eng = mpcmst::test::make_engine(64 * inst.input_words());
-  auto service = svc::QueryService::open(
-      {.engine = &eng, .instance = &inst, .sharded = true, .num_shards = 4,
-       .live = true,
-       .options = {.threads = 4, .cache_capacity = 1 << 10, .chunk_size = 16}});
-
+/// The locking the sanitizer jobs watch: batched queries race confirmed
+/// updates; every served answer must belong to SOME generation (the sharded
+/// tier's reads merge only replies stamped with the epoch they pinned), and
+/// the final state must match a rebuild.
+void run_concurrent_queries_during_updates(
+    const g::Instance& inst, std::unique_ptr<svc::QueryService> service) {
   std::vector<svc::Query> workload;
   std::mt19937_64 rng(0xabc);
   for (std::size_t i = 0; i < 600; ++i) {
@@ -486,6 +489,36 @@ TEST(Update, ConcurrentQueriesDuringUpdates) {
   for (const auto& q : workload)
     ASSERT_EQ(service->backend().answer(q), oracle.answer(q))
         << to_string(q);
+}
+
+TEST(Update, ConcurrentQueriesDuringUpdates) {
+  auto tree = g::random_recursive_tree(90, 461);
+  g::assign_random_tree_weights(tree, 1, 50, 463);
+  const auto inst = g::make_mst_instance(std::move(tree), 180, 467, 5);
+  const svc::ServiceOptions opts{
+      .threads = 4, .cache_capacity = 1 << 10, .chunk_size = 16};
+  {
+    // open() serves an in-process live tier from the monolith.
+    SCOPED_TRACE("open({.sharded = true, .live = true})");
+    auto eng = mpcmst::test::make_engine(64 * inst.input_words());
+    run_concurrent_queries_during_updates(
+        inst, svc::QueryService::open({.engine = &eng,
+                                       .instance = &inst,
+                                       .sharded = true,
+                                       .num_shards = 4,
+                                       .live = true,
+                                       .options = opts}));
+  }
+  {
+    // The leader's pin / re-pin reads racing ingest, in-process.
+    SCOPED_TRACE("sharded, 4 in-memory shard hosts");
+    auto eng = mpcmst::test::make_engine(64 * inst.input_words());
+    run_concurrent_queries_during_updates(
+        inst, std::make_unique<svc::QueryService>(
+                  std::shared_ptr<svc::UpdatableBackend>(
+                      svc::LiveShardedBackend::build(eng, inst, 4)),
+                  opts));
+  }
 }
 
 }  // namespace
